@@ -23,6 +23,8 @@ namespace {
 /** Sampler period used for --trace runs when --sample-every is unset. */
 constexpr Cycle kDefaultSamplePeriod = 512;
 
+} // namespace
+
 long
 parsePositive(const char* flag, const char* value)
 {
@@ -32,8 +34,6 @@ parsePositive(const char* flag, const char* value)
         fatal(flag, " expects a positive integer, got '", value, "'");
     return parsed;
 }
-
-} // namespace
 
 BenchOptions
 parseArgs(int argc, char** argv)
@@ -115,12 +115,6 @@ parseArgs(int argc, char** argv)
     }
     setHarnessProgress(opts.progress);
     return opts;
-}
-
-unsigned
-parseJobs(int argc, char** argv)
-{
-    return parseArgs(argc, argv).jobs;
 }
 
 void

@@ -75,10 +75,10 @@ struct BenchOptions
 BenchOptions parseArgs(int argc, char** argv);
 
 /**
- * Back-compat wrapper: parse the shared command line and return only
- * the resolved worker count.
+ * Parse @p value as a positive decimal integer with nothing trailing;
+ * anything else is fatal(), naming @p flag.
  */
-unsigned parseJobs(int argc, char** argv);
+long parsePositive(const char* flag, const char* value);
 
 /** Write the report to opts.emitJsonPath when --emit-json was given. */
 void writeReport(const BenchOptions& opts, const BenchReport& report);

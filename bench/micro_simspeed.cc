@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -271,8 +270,9 @@ BENCHMARK(BM_WorkloadConstruction)->Unit(benchmark::kMillisecond);
 /**
  * Pull `--jobs N` / `--jobs=N` / `-jN` and `--emit-json FILE` out of the
  * command line (so the rest can go to benchmark::Initialize). Unlike
- * bench::parseJobs this is lenient about unknown arguments —
- * google-benchmark owns them here.
+ * bench::parseArgs this is lenient about unknown arguments —
+ * google-benchmark owns them here — but --jobs values get the same
+ * strict parse.
  */
 unsigned
 extractJobsArg(int& argc, char** argv, std::string& emit_json,
@@ -306,10 +306,8 @@ extractJobsArg(int& argc, char** argv, std::string& emit_json,
             continue;
         }
         if (value != nullptr) {
-            const long parsed = std::strtol(value, nullptr, 10);
-            if (parsed <= 0)
-                fatal("--jobs expects a positive integer, got '", value, "'");
-            requested = static_cast<unsigned>(parsed);
+            requested = static_cast<unsigned>(
+                bsched::bench::parsePositive("--jobs", value));
         } else {
             argv[out++] = argv[i];
         }

@@ -21,7 +21,8 @@ SimtCore::SimtCore(const GpuConfig& config, std::uint32_t id)
       ldst_(config, id),
       warpWake_(config.maxWarpsPerCore(), 0),
       warpKernel_(config.maxWarpsPerCore(), kInvalidId),
-      freeWarpSlots_(config.maxWarpsPerCore())
+      freeWarpSlots_(config.maxWarpsPerCore()),
+      slotStall_(config.numSchedulersPerCore)
 {
     for (std::uint32_t s = 0; s < config.numSchedulersPerCore; ++s) {
         schedulers_.push_back(WarpScheduler::create(
@@ -211,125 +212,6 @@ SimtCore::structuralReady(const Instr& instr, Cycle now) const
         return true;
     }
     return false;
-}
-
-bool
-SimtCore::warpReady(const Warp& warp, Cycle now) const
-{
-    const Instr& instr = warp.cursor.instr(warp.kernel->program);
-    return warp.sb.canIssue(instr, now) && structuralReady(instr, now);
-}
-
-IssueRefusal
-SimtCore::warpRefusal(const Warp& warp, Cycle now) const
-{
-    const Instr& instr = warp.cursor.instr(warp.kernel->program);
-    if (!warp.sb.canIssue(instr, now)) {
-        // A load-pending operand dominates: even if a fixed-latency
-        // result is also in flight, the warp resumes only when the
-        // memory system answers.
-        return warp.sb.blockedOnRelease(instr) ? IssueRefusal::WaitLoad
-                                               : IssueRefusal::WaitExec;
-    }
-    switch (instr.op) {
-      case Opcode::LdGlobal:
-      case Opcode::StGlobal:
-        if (memIssuedThisCycle_ >= config_.ldstUnits)
-            return IssueRefusal::MemPort;
-        if (ldst_.admitRefusal(instr.op == Opcode::StGlobal) !=
-            LdstRefusal::None) {
-            return IssueRefusal::MemUnit;
-        }
-        return IssueRefusal::None;
-      case Opcode::LdShared:
-      case Opcode::StShared:
-        if (memIssuedThisCycle_ >= config_.ldstUnits)
-            return IssueRefusal::MemPort;
-        if (smemBusyUntil_ > now)
-            return IssueRefusal::SmemBusy;
-        return IssueRefusal::None;
-      case Opcode::Sfu:
-        return sfuIssuedThisCycle_ < config_.sfuUnits
-            ? IssueRefusal::None
-            : IssueRefusal::SfuPort;
-      case Opcode::Alu:
-      case Opcode::Bar:
-      case Opcode::Exit:
-        return IssueRefusal::None;
-    }
-    return IssueRefusal::None;
-}
-
-std::pair<int, SlotCat>
-SimtCore::classifyStalledSlot(std::size_t slot, Cycle now) const
-{
-    // Classify one exclusive category for a slot that issued nothing.
-    // Priority when warps on the slot are blocked for different reasons:
-    // a structurally refused memory access (the warp *would* issue if
-    // the memory pipe had room) outranks a scoreboard wait on a load,
-    // which outranks execution-pipeline waits — the categories closest
-    // to an actionable resource bottleneck win the slot.
-    bool any_live = false;
-    int barrier_kernel = kInvalidId;
-    int sb_kernel = kInvalidId;
-    int pipe_kernel = kInvalidId;
-    for (std::size_t w = slot; w < warps_.size();
-         w += schedulers_.size()) {
-        const Warp& warp = warps_[w];
-        if (!warp.live())
-            continue;
-        any_live = true;
-        if (warp.atBarrier) {
-            if (barrier_kernel == kInvalidId)
-                barrier_kernel = warp.kernelId;
-            continue;
-        }
-        // SoA fast path: the issue scan caches every scoreboard-blocked
-        // warp's wake time, so blocked warps classify from one array
-        // read — kCycleNever marks an outstanding load (`scoreboard`),
-        // a finite future cycle a fixed-latency result (`pipeline`).
-        const Cycle wake = warpWake_[w];
-        if (wake > now) {
-            if (wake == kCycleNever) {
-                if (sb_kernel == kInvalidId)
-                    sb_kernel = warp.kernelId;
-            } else if (pipe_kernel == kInvalidId) {
-                pipe_kernel = warp.kernelId;
-            }
-            continue;
-        }
-        switch (warpRefusal(warp, now)) {
-          case IssueRefusal::MemPort:
-          case IssueRefusal::MemUnit:
-          case IssueRefusal::SmemBusy:
-            // Highest-priority category: no later warp can change the
-            // slot's classification, and first-seen wins the kernel
-            // attribution either way.
-            return {warp.kernelId, SlotCat::MemStructural};
-          case IssueRefusal::WaitLoad:
-            if (sb_kernel == kInvalidId)
-                sb_kernel = warp.kernelId;
-            break;
-          case IssueRefusal::WaitExec:
-          case IssueRefusal::SfuPort:
-            if (pipe_kernel == kInvalidId)
-                pipe_kernel = warp.kernelId;
-            break;
-          case IssueRefusal::None:
-            // Unreachable for a stalled slot: a refusal-free warp would
-            // have been in the ready set and the slot would have issued.
-            if (pipe_kernel == kInvalidId)
-                pipe_kernel = warp.kernelId;
-            break;
-        }
-    }
-    if (!any_live)
-        return {kInvalidId, SlotCat::Empty};
-    if (sb_kernel != kInvalidId)
-        return {sb_kernel, SlotCat::Scoreboard};
-    if (pipe_kernel != kInvalidId)
-        return {pipe_kernel, SlotCat::Pipeline};
-    return {barrier_kernel, SlotCat::Barrier};
 }
 
 void
@@ -539,10 +421,9 @@ SimtCore::tick(Cycle now)
     std::vector<int>& ready = readyScratch_;
     for (std::size_t s = 0; s < schedulers_.size(); ++s) {
         ready.clear();
-        // Stall classification is fused into the issue scan: the scan
-        // touches exactly the warps classifyStalledSlot would re-read,
-        // so when the profiler is attached the first-seen candidate per
-        // category is collected here instead of in a second pass.
+        // Stall classification is fused into the issue scan: when the
+        // profiler is attached the first-seen candidate per category is
+        // collected while the scan walks the slot's warps.
         int barrier_kernel = kInvalidId;
         int mem_kernel = kInvalidId;
         int sb_kernel = kInvalidId;
@@ -612,9 +493,10 @@ SimtCore::tick(Cycle now)
         }
         if (ready.empty()) {
             if (profiling) {
-                // Same exclusive priority as classifyStalledSlot:
-                // mem_structural > scoreboard > pipeline > barrier;
-                // a slot with no live warp at all is `empty`.
+                // Exclusive priority mem_structural > scoreboard >
+                // pipeline > barrier: the category closest to an
+                // actionable resource bottleneck wins the slot. A slot
+                // with no live warp at all is `empty`.
                 int kernel = kInvalidId;
                 SlotCat cat = SlotCat::Empty;
                 if (mem_kernel != kInvalidId) {
@@ -630,6 +512,7 @@ SimtCore::tick(Cycle now)
                     kernel = barrier_kernel;
                     cat = SlotCat::Barrier;
                 }
+                slotStall_[s] = {kernel, cat};
                 profiler_->recordSlot(id_, kernel, cat);
             }
             continue;
@@ -667,8 +550,10 @@ SimtCore::tick(Cycle now)
     } else {
         ++stallIdleCycles_;
     }
-    if (profiler_ != nullptr && !issued_any)
+    if (profiler_ != nullptr && !issued_any) {
         profiler_->recordNoIssueCycle(id_);
+        slotStallCycle_ = now;
+    }
     return did_work || issued_any;
 }
 
@@ -733,10 +618,16 @@ SimtCore::accountQuietSpan(Cycle now, std::uint64_t n, MemProfiler* memprof)
     else
         stallIdleCycles_ += n;
     if (profiler_ != nullptr) {
-        for (std::size_t s = 0; s < schedulers_.size(); ++s) {
-            const auto [kernel, cat] = classifyStalledSlot(s, now);
+        // Replay the issue scan's classification of the quiet cycle
+        // `now - 1`. The span ends at or before every warp wake, shared-
+        // memory release and LD/ST event, so every elided cycle sees
+        // the same scoreboard, port and MSHR state that cycle saw.
+        BSCHED_CHECK(slotStallCycle_ + 1 == now, name_,
+                     ": quiet span from cycle ", now,
+                     " would replay a stall classification stored at "
+                     "cycle ", slotStallCycle_);
+        for (const auto& [kernel, cat] : slotStall_)
             profiler_->recordSlotSpan(id_, kernel, cat, n);
-        }
         profiler_->recordNoIssueSpan(id_, n);
     }
 }

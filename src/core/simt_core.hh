@@ -30,22 +30,6 @@ namespace bsched {
 class Tracer;
 class MemProfiler;
 
-/**
- * Why one warp could not issue this cycle — the reason warpReady()
- * collapses to a bool. Produced by SimtCore::warpRefusal() on the
- * profiling path only; the fast issue loop never computes it.
- */
-enum class IssueRefusal : std::uint8_t
-{
-    None,     ///< the warp would issue
-    WaitLoad, ///< operand pending on an outstanding load (memory latency)
-    WaitExec, ///< operand pending on a fixed-latency ALU/SFU/smem result
-    MemPort,  ///< LD/ST issue ports already used this cycle
-    MemUnit,  ///< LD/ST unit refused admission (queue/outgoing/MSHR full)
-    SmemBusy, ///< shared-memory port serializing a bank-conflict replay
-    SfuPort,  ///< SFU issue ports already used this cycle
-};
-
 /** A CTA completion event reported to the CTA scheduler. */
 struct CtaDoneEvent
 {
@@ -104,10 +88,10 @@ class SimtCore
 
     /**
      * Replay the per-cycle counter effects of @p n elided quiet cycles
-     * (classified as of @p now, the first skipped cycle): active/stall
-     * cycle counters, per-slot profiler categories — constant across
-     * the span because it ends at every wake time — and the L1 MSHR
-     * occupancy samples on @p memprof.
+     * starting at @p now: active/stall cycle counters, the per-slot
+     * profiler categories the issue scan stored on the quiet cycle
+     * `now - 1` — constant across the span because it ends at or before
+     * every wake time — and the L1 MSHR occupancy samples on @p memprof.
      */
     void accountQuietSpan(Cycle now, std::uint64_t n, MemProfiler* memprof);
 
@@ -162,15 +146,6 @@ class SimtCore
         return schedulers_;
     }
 
-    /**
-     * Why @p warp cannot issue at @p now (IssueRefusal::None if it can).
-     * Must stay the exact reason-reporting mirror of warpReady(): the
-     * fast issue loop keeps the bool so the profiling-disabled path does
-     * no extra work, and the profiler calls this only for slots that
-     * failed to issue.
-     */
-    IssueRefusal warpRefusal(const Warp& warp, Cycle now) const;
-
     void addStats(StatSet& stats) const;
 
     /**
@@ -217,14 +192,9 @@ class SimtCore
         std::vector<std::uint64_t> completedCtaIssued;
     };
 
-    /** True if @p warp can issue its next instruction this cycle. */
-    bool warpReady(const Warp& warp, Cycle now) const;
-    /** Structural half of warpReady (ports, LD/ST admission, smem). */
+    /** Structural issue check for a scoreboard-clear warp (ports,
+     *  LD/ST admission, shared-memory port). */
     bool structuralReady(const Instr& instr, Cycle now) const;
-    /** Classify a slot that issued nothing this cycle (profiler path):
-     *  the category and the kernel it is attributed to. */
-    std::pair<int, SlotCat> classifyStalledSlot(std::size_t slot,
-                                                Cycle now) const;
     void issueFrom(int warp_id, Cycle now);
     void finishWarp(int warp_id, Cycle now);
     void completeCta(int hw_cta, Cycle now);
@@ -262,6 +232,12 @@ class SimtCore
     std::uint32_t freeWarpSlots_ = 0;
     /** Reused ready-list buffer (avoids per-tick allocation). */
     std::vector<int> readyScratch_;
+    /** Per scheduler slot, the (kernel, category) the issue scan gave
+     *  it on cycle slotStallCycle_, the last cycle in which no slot
+     *  issued while the profiler was attached; accountQuietSpan replays
+     *  these for the elided cycles that follow. */
+    std::vector<std::pair<int, SlotCat>> slotStall_;
+    Cycle slotStallCycle_ = kCycleNever;
 
     std::uint64_t ctaSeqCounter_ = 0;
     Cycle smemBusyUntil_ = 0;

@@ -354,9 +354,11 @@ Gpu::fastForward()
     }
 
     // Replay the per-cycle counter effects of the elided cycles
-    // [now, next): per-core activity/stall classification and the
-    // per-cycle MSHR occupancy samples. Both are constant across the
-    // span — it ends at or before every wake estimate.
+    // [now, next): per-core activity/stall counters, the stall
+    // classification each core's issue scan stored on the quiet cycle
+    // `now - 1`, and the per-cycle MSHR occupancy samples. All are
+    // constant across the span — it ends at or before every wake
+    // estimate.
     const std::uint64_t n = next - now;
     for (auto& core : cores_)
         core->accountQuietSpan(now, n, obs_.memProfiler);

@@ -245,10 +245,7 @@ runMultiKernel(const GpuConfig& config,
         // MCK relies on LCS per-core limits to carve out space for the
         // partner kernel on every core.
         GpuConfig mixed = config;
-        if (mixed.ctaSched == CtaSchedKind::RoundRobin)
-            mixed.ctaSched = CtaSchedKind::Lazy;
-        else if (mixed.ctaSched == CtaSchedKind::Block)
-            mixed.ctaSched = CtaSchedKind::LazyBlock;
+        mixed.ctaSched = withLcsLimits(mixed.ctaSched);
         Gpu gpu(mixed);
         std::vector<int> ids;
         for (std::size_t i = 0; i < kernels.size(); ++i) {

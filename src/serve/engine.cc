@@ -67,10 +67,7 @@ ServingEngine::ServingEngine(const GpuConfig& gpu_config,
     if (cfg_.policy == ServePolicy::Fcfs ||
         cfg_.policy == ServePolicy::Reorder ||
         cfg_.policy == ServePolicy::ReorderPreempt) {
-        if (gpuConfig_.ctaSched == CtaSchedKind::RoundRobin)
-            gpuConfig_.ctaSched = CtaSchedKind::Lazy;
-        else if (gpuConfig_.ctaSched == CtaSchedKind::Block)
-            gpuConfig_.ctaSched = CtaSchedKind::LazyBlock;
+        gpuConfig_.ctaSched = withLcsLimits(gpuConfig_.ctaSched);
     }
 }
 

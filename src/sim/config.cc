@@ -31,6 +31,19 @@ toString(CtaSchedKind kind)
     return "?";
 }
 
+CtaSchedKind
+withLcsLimits(CtaSchedKind kind)
+{
+    switch (kind) {
+      case CtaSchedKind::RoundRobin: return CtaSchedKind::Lazy;
+      case CtaSchedKind::Block: return CtaSchedKind::LazyBlock;
+      case CtaSchedKind::Lazy:
+      case CtaSchedKind::LazyBlock:
+      case CtaSchedKind::Dynamic: return kind;
+    }
+    return kind;
+}
+
 const char*
 toString(LcsEstimator estimator)
 {

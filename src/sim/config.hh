@@ -47,6 +47,14 @@ const char* toString(CtaSchedKind kind);
 const char* toString(LcsWindowMode mode);
 
 /**
+ * The CTA scheduler that adds LCS per-core limits to @p kind, which
+ * co-resident kernels need to carve out space for each other on every
+ * core: RoundRobin -> Lazy, Block -> LazyBlock; every other kind is
+ * returned unchanged.
+ */
+CtaSchedKind withLcsLimits(CtaSchedKind kind);
+
+/**
  * Process-wide default for GpuConfig::fastForward, consulted when a
  * config is constructed. Lets a bench binary's `--no-fast-forward`
  * flag reach every config it builds (including GpuConfig::gtx480())

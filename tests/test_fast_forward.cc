@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "gpu/gpu.hh"
 #include "gpu/multi_kernel.hh"
 #include "harness/runner.hh"
 #include "kernel/program_builder.hh"
@@ -78,6 +79,45 @@ ffStoreKernel(const std::string& name, std::uint32_t grid_ctas = 16)
     return k;
 }
 
+/**
+ * Shared-memory kernel: a global load, a 4-way bank-conflicted shared
+ * store, a barrier, a shared load and an SFU chain. Its quiet spans
+ * stall on barriers, the busy shared-memory port and SFU results — and
+ * on a full L1 MSHR file when the machine is MSHR-starved — so a
+ * fast-forward jump has to replay every stall category.
+ */
+KernelInfo
+ffSmemKernel(const std::string& name)
+{
+    KernelInfo k;
+    k.name = name;
+    k.grid = {12, 1, 1};
+    k.cta = {64, 1, 1};
+    k.regsPerThread = 16;
+    k.smemBytesPerCta = 1024;
+    ProgramBuilder b;
+    MemPattern in;
+    in.kind = AccessKind::Coalesced;
+    in.base = 0x1000000;
+    MemPattern sh;
+    sh.kind = AccessKind::SharedBank;
+    sh.space = MemSpace::Shared;
+    sh.bankStride = 4;
+    const auto i = b.pattern(in);
+    const auto s = b.pattern(sh);
+    b.loop(6)
+        .load(i)
+        .storeShared(s)
+        .barrier()
+        .loadShared(s)
+        .sfu(2)
+        .alu(2)
+        .endLoop();
+    k.program = b.build();
+    k.validate();
+    return k;
+}
+
 /** Shrunk machine: quick runs, still multi-core and multi-partition. */
 GpuConfig
 smallConfig(WarpSchedKind warp_sched, CtaSchedKind cta_sched)
@@ -116,13 +156,50 @@ artifactBytes(GpuConfig config, const KernelInfo& kernel, bool fast_forward)
 TEST(FastForwardEquivalence, AllWarpSchedulers)
 {
     const KernelInfo kernel = ffKernel("ff_warp");
+    const KernelInfo smem = ffSmemKernel("ff_smem");
     for (WarpSchedKind ws :
          {WarpSchedKind::LRR, WarpSchedKind::GTO, WarpSchedKind::TwoLevel,
           WarpSchedKind::BAWS}) {
-        const GpuConfig config = smallConfig(ws, CtaSchedKind::RoundRobin);
+        GpuConfig config = smallConfig(ws, CtaSchedKind::RoundRobin);
         EXPECT_EQ(artifactBytes(config, kernel, true),
                   artifactBytes(config, kernel, false))
             << "warp scheduler " << toString(ws);
+        EXPECT_EQ(artifactBytes(config, smem, true),
+                  artifactBytes(config, smem, false))
+            << "smem kernel, warp scheduler " << toString(ws);
+        config.l1d.mshrEntries = 2;
+        EXPECT_EQ(artifactBytes(config, smem, true),
+                  artifactBytes(config, smem, false))
+            << "smem kernel, 2 L1 MSHRs, warp scheduler " << toString(ws);
+    }
+}
+
+TEST(FastForwardEquivalence, SmemKernelElidesEveryStallCategory)
+{
+    // Guards the input above: if the shared-memory kernel stopped
+    // eliding cycles or stopped stalling in some category, the
+    // equivalence test would no longer exercise that replay.
+    const KernelInfo kernel = ffSmemKernel("ff_smem_cover");
+    for (bool starved : {false, true}) {
+        GpuConfig config = smallConfig(WarpSchedKind::GTO,
+                                       CtaSchedKind::RoundRobin);
+        if (starved)
+            config.l1d.mshrEntries = 2;
+        const std::uint32_t mshrs = config.l1d.mshrEntries;
+        CycleProfiler profiler;
+        Observer obs;
+        obs.profiler = &profiler;
+        Gpu gpu(config, obs);
+        gpu.launchKernel(kernel);
+        gpu.run();
+        EXPECT_GT(gpu.elidedCycles(), 0u) << mshrs << " L1 MSHRs";
+        const SlotCounts total = profiler.total();
+        for (SlotCat cat :
+             {SlotCat::Barrier, SlotCat::Scoreboard, SlotCat::MemStructural,
+              SlotCat::Pipeline, SlotCat::Empty}) {
+            EXPECT_GT(total[cat], 0u)
+                << toString(cat) << ", " << mshrs << " L1 MSHRs";
+        }
     }
 }
 
