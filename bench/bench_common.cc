@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "obs/mem_profile.hh"
 #include "obs/phase/phase.hh"
@@ -23,6 +24,102 @@ namespace {
 /** Sampler period used for --trace runs when --sample-every is unset. */
 constexpr Cycle kDefaultSamplePeriod = 512;
 
+/** One bench flag, spelled once for every form it accepts:
+ *  `--name VALUE`, `--name=VALUE` and, given a short form, `-sVALUE`. */
+struct Flag
+{
+    const char* name;
+    const char* value;     ///< value placeholder; nullptr for a switch
+    const char* shortName; ///< attached-value short form, or nullptr
+    Cli cli;               ///< the narrowest binary kind honouring it
+    void (*apply)(BenchOptions& opts, const char* spelled, const char* value);
+};
+
+/** Flag::apply of a FILE flag: store the path in @p Field. */
+template <std::string BenchOptions::*Field>
+void
+setPath(BenchOptions& opts, const char*, const char* value)
+{
+    opts.*Field = value;
+}
+
+/** The bench command line: parsing and usage text both come from here. */
+const Flag kFlags[] = {
+    {"--jobs", "N", "-j", Cli::Microbench,
+     [](BenchOptions& o, const char* f, const char* v) {
+         o.jobs = static_cast<unsigned>(parsePositive(f, v));
+     }},
+    {"--trace", "FILE", nullptr, Cli::Figure,
+     setPath<&BenchOptions::tracePath>},
+    {"--profile", "FILE", nullptr, Cli::Figure,
+     setPath<&BenchOptions::profilePath>},
+    {"--mem-profile", "FILE", nullptr, Cli::Figure,
+     setPath<&BenchOptions::memProfilePath>},
+    {"--serve-trace", "FILE", nullptr, Cli::Microbench,
+     setPath<&BenchOptions::serveTracePath>},
+    {"--phase", "FILE", nullptr, Cli::Figure,
+     setPath<&BenchOptions::phasePath>},
+    {"--emit-json", "FILE", nullptr, Cli::Microbench,
+     setPath<&BenchOptions::emitJsonPath>},
+    {"--sample-every", "N", nullptr, Cli::Figure,
+     [](BenchOptions& o, const char* f, const char* v) {
+         o.sampleEvery = static_cast<Cycle>(parsePositive(f, v));
+     }},
+    {"--progress", nullptr, nullptr, Cli::Table,
+     [](BenchOptions& o, const char*, const char*) { o.progress = true; }},
+    // Escape hatch: force plain cycle-by-cycle stepping in every
+    // simulation this process runs (results are byte-identical either
+    // way; this exists to prove exactly that).
+    {"--no-fast-forward", nullptr, nullptr, Cli::Microbench,
+     [](BenchOptions&, const char*, const char*) {
+         setDefaultFastForward(false);
+     }},
+    {"--log", "LEVEL", nullptr, Cli::Table,
+     [](BenchOptions&, const char*, const char* v) {
+         setLogLevel(parseLogLevel(v));
+     }},
+};
+
+/** "--jobs N, -jN, --trace FILE, ..." over the flags @p cli honours. */
+std::string
+usage(Cli cli)
+{
+    std::string out;
+    for (const Flag& f : kFlags) {
+        if (f.cli > cli)
+            continue;
+        out += out.empty() ? "" : ", ";
+        out += f.name;
+        if (f.value != nullptr)
+            out += std::string(" ") + f.value;
+        if (f.shortName != nullptr)
+            out += std::string(", ") + f.shortName + f.value;
+    }
+    return out;
+}
+
+/** The table entry @p arg spells, with its attached value (if any). */
+const Flag*
+matchFlag(const char* arg, const char*& value)
+{
+    for (const Flag& f : kFlags) {
+        const std::size_t n = std::strlen(f.name);
+        if (std::strncmp(arg, f.name, n) == 0 &&
+            (arg[n] == '\0' || (arg[n] == '=' && f.value != nullptr))) {
+            value = arg[n] == '=' ? arg + n + 1 : nullptr;
+            return &f;
+        }
+        if (f.shortName != nullptr) {
+            const std::size_t k = std::strlen(f.shortName);
+            if (std::strncmp(arg, f.shortName, k) == 0 && arg[k] != '\0') {
+                value = arg + k;
+                return &f;
+            }
+        }
+    }
+    return nullptr;
+}
+
 } // namespace
 
 long
@@ -36,98 +133,64 @@ parsePositive(const char* flag, const char* value)
 }
 
 BenchOptions
-parseArgs(int argc, char** argv)
+parseArgs(int& argc, char** argv, Cli cli)
 {
-    setLogLevelFromEnv();
+    const bool passthrough = cli == Cli::Microbench;
+    if (!passthrough)
+        setLogLevelFromEnv();
 
     BenchOptions opts;
-    unsigned requested = 0;
+    int kept = 1;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
-        auto next = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc)
-                fatal(flag, " requires a value");
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--jobs") == 0) {
-            requested = static_cast<unsigned>(
-                parsePositive("--jobs", next("--jobs")));
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            requested =
-                static_cast<unsigned>(parsePositive("--jobs", arg + 7));
-        } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-            requested =
-                static_cast<unsigned>(parsePositive("-j", arg + 2));
-        } else if (std::strcmp(arg, "--trace") == 0) {
-            opts.tracePath = next("--trace");
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            opts.tracePath = arg + 8;
-        } else if (std::strcmp(arg, "--profile") == 0) {
-            opts.profilePath = next("--profile");
-        } else if (std::strncmp(arg, "--profile=", 10) == 0) {
-            opts.profilePath = arg + 10;
-        } else if (std::strcmp(arg, "--mem-profile") == 0) {
-            opts.memProfilePath = next("--mem-profile");
-        } else if (std::strncmp(arg, "--mem-profile=", 14) == 0) {
-            opts.memProfilePath = arg + 14;
-        } else if (std::strcmp(arg, "--serve-trace") == 0) {
-            opts.serveTracePath = next("--serve-trace");
-        } else if (std::strncmp(arg, "--serve-trace=", 14) == 0) {
-            opts.serveTracePath = arg + 14;
-        } else if (std::strcmp(arg, "--phase") == 0) {
-            opts.phasePath = next("--phase");
-        } else if (std::strncmp(arg, "--phase=", 8) == 0) {
-            opts.phasePath = arg + 8;
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            opts.progress = true;
-        } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
-            // Escape hatch: force plain cycle-by-cycle stepping in every
-            // simulation this process runs (results are byte-identical
-            // either way; this exists to prove exactly that).
-            setDefaultFastForward(false);
-        } else if (std::strcmp(arg, "--emit-json") == 0) {
-            opts.emitJsonPath = next("--emit-json");
-        } else if (std::strncmp(arg, "--emit-json=", 12) == 0) {
-            opts.emitJsonPath = arg + 12;
-        } else if (std::strcmp(arg, "--sample-every") == 0) {
-            opts.sampleEvery = static_cast<Cycle>(
-                parsePositive("--sample-every", next("--sample-every")));
-        } else if (std::strncmp(arg, "--sample-every=", 15) == 0) {
-            opts.sampleEvery = static_cast<Cycle>(
-                parsePositive("--sample-every", arg + 15));
-        } else if (std::strcmp(arg, "--log") == 0) {
-            setLogLevel(parseLogLevel(next("--log")));
-        } else if (std::strncmp(arg, "--log=", 6) == 0) {
-            setLogLevel(parseLogLevel(arg + 6));
-        } else {
-            fatal("unknown argument '", arg,
-                  "' (figures accept --jobs N, --trace FILE, "
-                  "--profile FILE, --mem-profile FILE, --serve-trace FILE, "
-                  "--phase FILE, --emit-json FILE, --sample-every N, "
-                  "--progress, --no-fast-forward, --log LEVEL)");
+        const char* value = nullptr;
+        const Flag* flag = matchFlag(arg, value);
+        if (flag == nullptr && passthrough) {
+            argv[kept++] = argv[i]; // google-benchmark's to judge
+            continue;
         }
+        if (flag == nullptr)
+            fatal("unknown argument '", arg, "' (accepted: ", usage(cli),
+                  ")");
+        if (flag->cli > cli)
+            fatal(flag->name, " does not apply to this binary (accepted: ",
+                  usage(cli), ")");
+        const char* spelled = arg[1] == '-' ? flag->name : flag->shortName;
+        if (flag->value != nullptr && value == nullptr) {
+            if (i + 1 >= argc)
+                fatal(flag->name, " requires a value");
+            value = argv[++i];
+        }
+        flag->apply(opts, spelled, value);
     }
-    opts.jobs = resolveJobs(requested);
-    if (!opts.progress) {
+    argc = kept;
+
+    opts.jobs = resolveJobs(opts.jobs);
+    if (!passthrough) {
         const char* env = std::getenv("BSCHED_PROGRESS");
-        opts.progress = env != nullptr && *env != '\0' &&
-            std::strcmp(env, "0") != 0;
+        opts.progress = opts.progress ||
+            (env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0);
+        setHarnessProgress(opts.progress);
     }
-    setHarnessProgress(opts.progress);
     return opts;
+}
+
+void
+writeArtifact(const std::string& path, const std::string& detail,
+              const std::function<void(std::ostream&)>& body)
+{
+    const std::size_t bytes = writeFile(path, body);
+    std::fprintf(stderr, "wrote %s (%zu bytes%s%s)\n", path.c_str(), bytes,
+                 detail.empty() ? "" : ", ", detail.c_str());
 }
 
 void
 writeReport(const BenchOptions& opts, const BenchReport& report)
 {
-    if (opts.emitJsonPath.empty())
-        return;
-    const std::size_t bytes =
-        writeFile(opts.emitJsonPath, [&](std::ostream& os) {
-            report.writeJson(os);
-        });
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n",
-                 opts.emitJsonPath.c_str(), bytes);
+    if (!opts.emitJsonPath.empty()) {
+        writeArtifact(opts.emitJsonPath, "",
+                      [&](std::ostream& os) { report.writeJson(os); });
+    }
 }
 
 void
@@ -152,15 +215,11 @@ writeServeTraceArtifact(const BenchOptions& opts)
 
     ServeTraceReport report("serve_trace");
     report.addRun(toString(serve.policy), def.name, result, trace);
-    const std::size_t bytes =
-        writeFile(opts.serveTracePath, [&](std::ostream& os) {
-            report.writeJson(os);
-        });
-    std::fprintf(stderr,
-                 "wrote %s (%zu bytes, %s/%s, %zu decisions)\n",
-                 opts.serveTracePath.c_str(), bytes, def.name.c_str(),
-                 toString(serve.policy),
-                 trace.audit.decisions.size());
+    writeArtifact(opts.serveTracePath,
+                  def.name + "/" + toString(serve.policy) + ", " +
+                      std::to_string(trace.audit.decisions.size()) +
+                      " decisions",
+                  [&](std::ostream& os) { report.writeJson(os); });
 }
 
 void
@@ -200,47 +259,38 @@ writeRunArtifacts(const BenchOptions& opts, const GpuConfig& config,
     runKernel(config, kernel, obs);
 
     if (want_trace) {
-        const std::size_t bytes =
-            writeFile(opts.tracePath, [&](std::ostream& os) {
-                tracer.writeChromeTrace(os, &sampler);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s, %llu events",
-                     opts.tracePath.c_str(), bytes, label.c_str(),
-                     static_cast<unsigned long long>(tracer.recorded()));
-        if (tracer.dropped() > 0) {
-            std::fprintf(stderr, ", %llu dropped",
-                         static_cast<unsigned long long>(tracer.dropped()));
-        }
-        std::fprintf(stderr, ")\n");
+        std::string detail =
+            label + ", " + std::to_string(tracer.recorded()) + " events";
+        if (tracer.dropped() > 0)
+            detail += ", " + std::to_string(tracer.dropped()) + " dropped";
+        writeArtifact(opts.tracePath, detail, [&](std::ostream& os) {
+            tracer.writeChromeTrace(os, &sampler);
+        });
     }
     if (want_profile) {
-        const std::size_t bytes =
-            writeFile(opts.profilePath, [&](std::ostream& os) {
-                writeProfileJson(os, profiler, label);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s)\n",
-                     opts.profilePath.c_str(), bytes, label.c_str());
+        writeArtifact(opts.profilePath, label, [&](std::ostream& os) {
+            writeProfileJson(os, profiler, label);
+        });
     }
     if (want_mem) {
-        const std::size_t bytes =
-            writeFile(opts.memProfilePath, [&](std::ostream& os) {
-                writeMemProfileJson(os, mem_profiler, label);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s, %llu requests)\n",
-                     opts.memProfilePath.c_str(), bytes, label.c_str(),
-                     static_cast<unsigned long long>(
-                         mem_profiler.completedRequests()));
+        writeArtifact(opts.memProfilePath,
+                      label + ", " +
+                          std::to_string(mem_profiler.completedRequests()) +
+                          " requests",
+                      [&](std::ostream& os) {
+                          writeMemProfileJson(os, mem_profiler, label);
+                      });
     }
     if (want_phase) {
-        const std::size_t bytes =
-            writeFile(opts.phasePath, [&](std::ostream& os) {
-                writePhaseJson(os, phase, label);
-            });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %s, %zu windows, "
-                             "%zu phases)\n",
-                     opts.phasePath.c_str(), bytes, label.c_str(),
-                     phase.metrics().windows(),
-                     phase.machine().phases().size());
+        writeArtifact(opts.phasePath,
+                      label + ", " +
+                          std::to_string(phase.metrics().windows()) +
+                          " windows, " +
+                          std::to_string(phase.machine().phases().size()) +
+                          " phases",
+                      [&](std::ostream& os) {
+                          writePhaseJson(os, phase, label);
+                      });
     }
 }
 

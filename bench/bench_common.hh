@@ -1,10 +1,9 @@
 /**
  * @file
- * Shared scaffolding for the figure/table binaries: the common command
- * line (--jobs, --trace, --profile, --mem-profile, --phase,
- * --emit-json, --sample-every, --progress, --log) and the workload ×
- * config grid
- * runner every sweep figure uses instead of hand-rolled serial loops.
+ * Shared scaffolding for the bench binaries: the common command line
+ * (one flag table for the figures, the tables and micro_simspeed), the
+ * artifact writers, and the workload × config grid runner every sweep
+ * figure uses instead of hand-rolled serial loops.
  *
  * All figures accept `--jobs N` (also `--jobs=N` / `-jN`) or the
  * BSCHED_JOBS environment variable; the default is the hardware
@@ -17,6 +16,8 @@
 #define BSCHED_BENCH_BENCH_COMMON_HH
 
 #include <cstddef>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -62,23 +63,44 @@ struct BenchOptions
 };
 
 /**
- * Parse the shared bench command line. Recognizes "--jobs N" /
- * "--jobs=N" / "-jN", "--trace FILE", "--profile FILE",
- * "--mem-profile FILE", "--phase FILE", "--emit-json FILE",
- * "--sample-every N",
- * "--progress" (also the BSCHED_PROGRESS environment variable),
- * "--no-fast-forward" (force plain cycle-by-cycle stepping; results
- * are byte-identical either way) and "--log LEVEL" (also BSCHED_LOG);
- * anything else is fatal() so a typo doesn't silently fall back to
- * defaults.
+ * Which bench flags a binary honours, and what happens to the rest.
+ * Each kind honours every flag the one before it does.
  */
-BenchOptions parseArgs(int argc, char** argv);
+enum class Cli
+{
+    Microbench, ///< --jobs, --emit-json, --serve-trace, --no-fast-forward;
+                ///< unknown arguments stay in argv for google-benchmark
+    Table,      ///< plus --progress and --log; no simulation, so the
+                ///< run-artifact flags are fatal()
+    Figure,     ///< every flag; anything else is fatal()
+};
+
+/**
+ * Parse the shared bench command line from one flag table (which also
+ * generates the usage text in every error). Each value flag takes
+ * "--flag VALUE" and "--flag=VALUE"; --jobs also takes "-jN". Figures
+ * accept --jobs N, --trace FILE, --profile FILE, --mem-profile FILE,
+ * --serve-trace FILE, --phase FILE, --emit-json FILE, --sample-every N,
+ * --progress (also the BSCHED_PROGRESS environment variable),
+ * --no-fast-forward (force plain cycle-by-cycle stepping; results are
+ * byte-identical either way) and --log LEVEL (also BSCHED_LOG). A flag
+ * the binary does not honour, a missing value and (outside
+ * Cli::Microbench) an unknown argument are fatal() so a typo doesn't
+ * silently fall back to defaults. @p argc / @p argv keep only the
+ * arguments passed through.
+ */
+BenchOptions parseArgs(int& argc, char** argv, Cli cli = Cli::Figure);
 
 /**
  * Parse @p value as a positive decimal integer with nothing trailing;
  * anything else is fatal(), naming @p flag.
  */
 long parsePositive(const char* flag, const char* value);
+
+/** Write one artifact via @p body and report it on stderr as
+ *  "wrote PATH (N bytes, DETAIL)". */
+void writeArtifact(const std::string& path, const std::string& detail,
+                   const std::function<void(std::ostream&)>& body);
 
 /** Write the report to opts.emitJsonPath when --emit-json was given. */
 void writeReport(const BenchOptions& opts, const BenchReport& report);

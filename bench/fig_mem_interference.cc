@@ -232,12 +232,12 @@ main(int argc, char** argv)
         // The E17 artifact is the full sweep, not one representative
         // run: every point of every workload in one
         // `bsched-memprofile-v1` file.
-        const std::size_t bytes =
-            writeFile(opts.memProfilePath, [&](std::ostream& os) {
+        bench::writeArtifact(
+            opts.memProfilePath,
+            std::to_string(artifact.size()) + " points",
+            [&](std::ostream& os) {
                 writeMemProfileJson(os, artifact, "fig_mem_interference");
             });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %zu points)\n",
-                     opts.memProfilePath.c_str(), bytes, artifact.size());
     }
     bench::BenchOptions rest = opts;
     rest.memProfilePath.clear(); // the sweep artifact above replaces it

@@ -256,14 +256,13 @@ main(int argc, char** argv)
     if (!opts.phasePath.empty()) {
         // The E20 artifact is this exact canonical run, not the
         // representative re-run writeRunArtifacts would do.
-        const std::size_t bytes =
-            writeFile(opts.phasePath, [&](std::ostream& os) {
+        bench::writeArtifact(
+            opts.phasePath,
+            std::to_string(m.windows()) + " windows, " +
+                std::to_string(machine.phases().size()) + " phases",
+            [&](std::ostream& os) {
                 writePhaseJson(os, phase, "fig_phase/phased/lazy");
             });
-        std::fprintf(stderr, "wrote %s (%zu bytes, %zu windows, "
-                             "%zu phases)\n",
-                     opts.phasePath.c_str(), bytes, m.windows(),
-                     machine.phases().size());
     }
     bench::BenchOptions rest = opts;
     rest.phasePath.clear(); // the canonical artifact above replaces it

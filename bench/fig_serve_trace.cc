@@ -104,12 +104,8 @@ main(int argc, char** argv)
                 "absorbs completed launches.\n");
 
     if (!opts.emitJsonPath.empty()) {
-        const std::size_t bytes =
-            writeFile(opts.emitJsonPath, [&](std::ostream& os) {
-                report.writeJson(os);
-            });
-        std::printf("wrote %s (%zu bytes)\n", opts.emitJsonPath.c_str(),
-                    bytes);
+        bench::writeArtifact(opts.emitJsonPath, "",
+                             [&](std::ostream& os) { report.writeJson(os); });
     }
     bench::writeRunArtifacts(opts, config, makeWorkload("lud"),
                              "lud/serve_trace");

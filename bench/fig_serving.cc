@@ -149,9 +149,8 @@ main(int argc, char** argv)
                 "columns quantify each step.\n");
 
     if (!opts.emitJsonPath.empty()) {
-        writeFile(opts.emitJsonPath,
-                  [&](std::ostream& os) { report.writeJson(os); });
-        std::printf("wrote %s\n", opts.emitJsonPath.c_str());
+        bench::writeArtifact(opts.emitJsonPath, "",
+                             [&](std::ostream& os) { report.writeJson(os); });
     }
     bench::writeRunArtifacts(opts, config, makeWorkload("lud"),
                              "lud/serving");

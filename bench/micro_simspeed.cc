@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,108 +122,6 @@ busyKernel()
 }
 
 void
-BM_SimulateSmallKernel(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        Gpu gpu(config);
-        gpu.launchKernel(kernel);
-        gpu.run();
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernel)->Unit(benchmark::kMillisecond);
-
-/**
- * The same kernel with the full observability stack attached (tracer on
- * every component plus a 512-cycle interval sampler). Comparing against
- * BM_SimulateSmallKernel bounds the enabled-path overhead; the disabled
- * path is BM_SimulateSmallKernel itself (null tracer, no sampler).
- */
-void
-BM_SimulateSmallKernelObserved(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        Tracer tracer(config.numCores, config.numMemPartitions);
-        IntervalSampler sampler(512);
-        Gpu gpu(config, Observer{&tracer, &sampler});
-        gpu.launchKernel(kernel);
-        gpu.run();
-        benchmark::DoNotOptimize(tracer.recorded());
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernelObserved)->Unit(benchmark::kMillisecond);
-
-/**
- * The same kernel with only the cycle-accounting profiler attached.
- * Comparing against BM_SimulateSmallKernel bounds the per-slot
- * classification overhead of --profile runs; the disabled path — a
- * null profiler pointer — is BM_SimulateSmallKernel itself.
- */
-void
-BM_SimulateSmallKernelProfiled(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        CycleProfiler profiler;
-        Gpu gpu(config, Observer{nullptr, nullptr, &profiler});
-        gpu.launchKernel(kernel);
-        gpu.run();
-        benchmark::DoNotOptimize(profiler.total().total());
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernelProfiled)->Unit(benchmark::kMillisecond);
-
-/**
- * The same kernel with only the request-level memory profiler attached.
- * Comparing against BM_SimulateSmallKernel bounds the per-request
- * bookkeeping overhead of --mem-profile runs; the disabled path — null
- * memProfiler pointers throughout the memory system — is
- * BM_SimulateSmallKernel itself and is pinned to the ≤5% budget by the
- * perf-smoke trajectory.
- */
-void
-BM_SimulateSmallKernelMemProfiled(benchmark::State& state)
-{
-    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
-                                        CtaSchedKind::RoundRobin);
-    const KernelInfo kernel = smallKernel();
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        MemProfiler profiler;
-        Observer obs;
-        obs.memProfiler = &profiler;
-        Gpu gpu(config, obs);
-        gpu.launchKernel(kernel);
-        gpu.run();
-        benchmark::DoNotOptimize(profiler.completedRequests());
-        cycles += gpu.cycle();
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulateSmallKernelMemProfiled)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_CacheAccess(benchmark::State& state)
 {
     CacheConfig cfg;
@@ -266,55 +163,6 @@ BM_WorkloadConstruction(benchmark::State& state)
     }
 }
 BENCHMARK(BM_WorkloadConstruction)->Unit(benchmark::kMillisecond);
-
-/**
- * Pull `--jobs N` / `--jobs=N` / `-jN` and `--emit-json FILE` out of the
- * command line (so the rest can go to benchmark::Initialize). Unlike
- * bench::parseArgs this is lenient about unknown arguments —
- * google-benchmark owns them here — but --jobs values get the same
- * strict parse.
- */
-unsigned
-extractJobsArg(int& argc, char** argv, std::string& emit_json,
-               std::string& serve_trace)
-{
-    unsigned requested = 0;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        const char* value = nullptr;
-        if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc)
-            value = argv[++i];
-        else if (std::strncmp(arg, "--jobs=", 7) == 0)
-            value = arg + 7;
-        else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0')
-            value = arg + 2;
-        else if (std::strcmp(arg, "--emit-json") == 0 && i + 1 < argc) {
-            emit_json = argv[++i];
-            continue;
-        } else if (std::strncmp(arg, "--emit-json=", 12) == 0) {
-            emit_json = arg + 12;
-            continue;
-        } else if (std::strcmp(arg, "--serve-trace") == 0 && i + 1 < argc) {
-            serve_trace = argv[++i];
-            continue;
-        } else if (std::strncmp(arg, "--serve-trace=", 14) == 0) {
-            serve_trace = arg + 14;
-            continue;
-        } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
-            setDefaultFastForward(false);
-            continue;
-        }
-        if (value != nullptr) {
-            requested = static_cast<unsigned>(
-                bsched::bench::parsePositive("--jobs", value));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    return requested;
-}
 
 /** One measured simulator configuration for the simspeed artifact. */
 struct RateSample
@@ -424,6 +272,54 @@ simulateOnce(const GpuConfig& config, const KernelInfo& kernel, ObsMode mode)
     gpu.run();
     return gpu.cycle();
 }
+
+/**
+ * google-benchmark rate of the small kernel with the observers of
+ * @p mode attached. The Plain rate is the disabled path (every
+ * observer pointer null); each other mode bounds that observer's
+ * enabled-path overhead against it.
+ */
+void
+simulateSmallKernel(benchmark::State& state, ObsMode mode)
+{
+    const GpuConfig config = makeConfig(WarpSchedKind::GTO,
+                                        CtaSchedKind::RoundRobin);
+    const KernelInfo kernel = smallKernel();
+    std::uint64_t cycles = 0;
+    for (auto _ : state)
+        cycles += simulateOnce(config, kernel, mode);
+    state.counters["sim_cycles_per_s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+
+void
+BM_SimulateSmallKernel(benchmark::State& state)
+{
+    simulateSmallKernel(state, ObsMode::Plain);
+}
+BENCHMARK(BM_SimulateSmallKernel)->Unit(benchmark::kMillisecond);
+
+void
+BM_SimulateSmallKernelObserved(benchmark::State& state)
+{
+    simulateSmallKernel(state, ObsMode::Observed);
+}
+BENCHMARK(BM_SimulateSmallKernelObserved)->Unit(benchmark::kMillisecond);
+
+void
+BM_SimulateSmallKernelProfiled(benchmark::State& state)
+{
+    simulateSmallKernel(state, ObsMode::Profiled);
+}
+BENCHMARK(BM_SimulateSmallKernelProfiled)->Unit(benchmark::kMillisecond);
+
+void
+BM_SimulateSmallKernelMemProfiled(benchmark::State& state)
+{
+    simulateSmallKernel(state, ObsMode::MemProfiled);
+}
+BENCHMARK(BM_SimulateSmallKernelMemProfiled)
+    ->Unit(benchmark::kMillisecond);
 
 /** One measurement request for measureInterleaved(). */
 struct RatePoint
@@ -583,7 +479,7 @@ writeSimspeedJson(const std::string& path)
         os << "      \"speedup\": " << jsonNumber(speedup(on, off))
            << "\n    }" << (last ? "\n" : ",\n");
     };
-    const std::size_t bytes = writeFile(path, [&](std::ostream& os) {
+    bench::writeArtifact(path, "", [&](std::ostream& os) {
         os << "{\n  \"schema\": \"bsched-simspeed-v1\",\n"
            << "  \"kernel\": \"" << jsonEscape(kernel.name) << "\",\n"
            << "  \"reps\": " << kReps << ",\n  \"modes\": {\n";
@@ -608,7 +504,6 @@ writeSimspeedJson(const std::string& path)
         ff_json(os, "busy", busy_on, busy_off, true);
         os << "  }\n}\n";
     });
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n", path.c_str(), bytes);
 }
 
 /**
@@ -661,18 +556,13 @@ harnessSelfCheck(unsigned jobs)
 int
 main(int argc, char** argv)
 {
-    std::string emit_json;
-    std::string serve_trace;
-    const unsigned jobs = bsched::resolveJobs(
-        extractJobsArg(argc, argv, emit_json, serve_trace));
-    harnessSelfCheck(jobs);
-    if (!emit_json.empty())
-        writeSimspeedJson(emit_json);
-    if (!serve_trace.empty()) {
-        bsched::bench::BenchOptions serve_opts;
-        serve_opts.serveTracePath = serve_trace;
-        bsched::bench::writeServeTraceArtifact(serve_opts);
-    }
+    // Our flags come out of argv; the rest go to google-benchmark.
+    const bench::BenchOptions opts =
+        bench::parseArgs(argc, argv, bench::Cli::Microbench);
+    harnessSelfCheck(opts.jobs);
+    if (!opts.emitJsonPath.empty())
+        writeSimspeedJson(opts.emitJsonPath);
+    bench::writeServeTraceArtifact(opts);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -13,9 +13,10 @@ int
 main(int argc, char** argv)
 {
     using namespace bsched;
-    // No simulations here; parse anyway so every bench binary shares
-    // the same CLI (a stray --jobs is accepted, a typo is rejected).
-    const bench::BenchOptions opts = bench::parseArgs(argc, argv);
+    // No simulations here: the shared CLI minus the run-artifact flags
+    // (a stray --jobs is accepted; --trace or a typo is rejected).
+    const bench::BenchOptions opts =
+        bench::parseArgs(argc, argv, bench::Cli::Table);
     const GpuConfig config = GpuConfig::gtx480();
     config.validate();
     std::printf("E1: simulated machine configuration (GTX480-class)\n\n%s",

@@ -290,12 +290,9 @@ Gpu::stepCycle()
     ctaSched_->tick(now, kernels_, cores_);
     did_work |= ctaSched_->dispatches() != dispatches_before;
 
-    // Phase windows close before the sample is taken, so the sampled
-    // phase gauges always reflect every window up to `now`.
-    if (obs_.phase != nullptr && obs_.phase->due(now))
-        closePhaseWindow(now);
-    if (obs_.sampler != nullptr && obs_.sampler->due(now))
-        collectSample(now);
+    // The one observation poll (see observe()).
+    if (now >= nextObservation_)
+        observe(now, false);
 
     ++cycle_;
     if (cycle_ >= config_.maxCycles)
@@ -322,12 +319,9 @@ Gpu::fastForward()
     next = std::min(next, icnt_.nextEventCycle(now));
     for (const auto& part : partitions_)
         next = std::min(next, part->nextEventCycle(now));
-    if (obs_.sampler != nullptr)
-        next = std::min(next, obs_.sampler->nextDue());
-    // Phase-window boundaries are fenced exactly like sampler cycles:
-    // windows close on the same cycles whether or not spans are elided.
-    if (obs_.phase != nullptr)
-        next = std::min(next, obs_.phase->nextDue());
+    // Observation ticks land on the same cycles whether or not spans
+    // are elided.
+    next = std::min(next, nextObservation_);
     // External fence (serving engine): an outside agent acts at this
     // cycle, so the quiet span may not be elided past it.
     next = std::min(next, externalEvent_);
@@ -407,83 +401,131 @@ Gpu::run()
 void
 Gpu::finalizeSample()
 {
-    // Tie off the partial final phase window first so the closing
-    // sample's phase gauges include it.
-    if (obs_.phase != nullptr && obs_.phase->finalPending(cycle_))
-        closePhaseWindow(cycle_);
-    if (obs_.sampler != nullptr &&
-        (obs_.sampler->cycles().empty() ||
-         obs_.sampler->cycles().back() != cycle_)) {
-        collectSample(cycle_);
-    }
+    observe(cycle_, true);
 }
 
 void
-Gpu::collectSample(Cycle now)
+Gpu::observe(Cycle now, bool closing)
+{
+    const auto owed = [&](const ObservationClock& clock) {
+        return closing ? clock.finalPending(now) : clock.due(now);
+    };
+    const bool window = obs_.phase != nullptr && owed(obs_.phase->cadence());
+    const bool sample =
+        obs_.sampler != nullptr && owed(obs_.sampler->cadence());
+    if (window || sample) {
+        const CounterSnapshot snap = snapshotCounters();
+        // The window closes first so the sample's phase gauges see it.
+        if (window)
+            obs_.phase->closeWindow(now, snap);
+        if (sample)
+            recordSample(now, snap);
+    }
+    nextObservation_ = kCycleNever;
+    if (obs_.phase != nullptr)
+        nextObservation_ = obs_.phase->cadence().nextDue();
+    if (obs_.sampler != nullptr) {
+        nextObservation_ =
+            std::min(nextObservation_, obs_.sampler->cadence().nextDue());
+    }
+}
+
+CounterSnapshot
+Gpu::snapshotCounters() const
+{
+    // The per-core and per-kernel breakdowns feed only the phase
+    // detectors; a sampler alone never pays for them.
+    const bool per_unit = obs_.phase != nullptr;
+    CounterSnapshot snap;
+    for (const auto& core : cores_) {
+        const std::uint64_t instrs = core->instrsIssued();
+        const std::uint64_t issue = core->issueCycles();
+        const std::uint64_t stall_mem = core->memStallCycles();
+        const std::uint64_t stall_idle = core->idleStallCycles();
+        snap.instrs += instrs;
+        snap.issueCycles += issue;
+        snap.stallMem += stall_mem;
+        snap.stallIdle += stall_idle;
+        snap.l1Access += core->ldst().l1().accesses();
+        snap.l1Miss += core->ldst().l1().misses();
+        snap.activeCtas += core->residentCtas();
+        snap.l1MshrInUse += core->ldst().mshr().entriesInUse();
+        if (per_unit) {
+            snap.coreInstrs.push_back(instrs);
+            snap.coreIssue.push_back(issue);
+            snap.coreStallMem.push_back(stall_mem);
+            snap.coreStallIdle.push_back(stall_idle);
+        }
+    }
+    for (const auto& part : partitions_) {
+        snap.l2Access += part->l2().accesses();
+        snap.l2Miss += part->l2().misses();
+        snap.l2MshrInUse += part->l2Mshr().entriesInUse();
+        snap.rowHit += part->dram().rowHits();
+        snap.rowMiss += part->dram().rowMisses();
+        snap.rowConflict += part->dram().rowConflicts();
+    }
+    if (per_unit) {
+        for (const KernelInstance& kernel : kernels_)
+            snap.kernelInstrs.push_back(kernelInstrsIssued(kernel.id));
+    }
+    // Interference channels ride along only when the memory profiler is
+    // also attached; the detectors never read them, so detected phase
+    // boundaries are identical with or without this section.
+    if (obs_.memProfiler != nullptr) {
+        snap.hasInterference = true;
+        snap.l1CrossCta =
+            obs_.memProfiler->interference(MemLevel::L1).crossCtaEvictions;
+        snap.l2CrossCta =
+            obs_.memProfiler->interference(MemLevel::L2).crossCtaEvictions;
+        snap.dramQueueCycles = obs_.memProfiler->total()
+            .stages[static_cast<std::size_t>(MemStage::DramQueue)].sum();
+        snap.l2MshrOccCycles = obs_.memProfiler->interference(MemLevel::L2)
+            .mshrOccupancy.sum();
+    }
+    return snap;
+}
+
+void
+Gpu::recordSample(Cycle now, const CounterSnapshot& snap)
 {
     IntervalSampler& s = *obs_.sampler;
-    s.begin(now);
-
-    const std::uint64_t instrs = totalInstrsIssued();
-    s.record("gpu.instrs", static_cast<double>(instrs),
-             SeriesKind::Counter);
-    const Cycle span = now - lastSampleCycle_;
+    // Interval IPC since the previous row (or since cycle 0).
+    const Cycle span = now - (s.samples() == 0 ? 0 : s.cycles().back());
+    const double instrs = static_cast<double>(snap.instrs);
     const double interval_ipc = span == 0
         ? 0.0
-        : static_cast<double>(instrs - lastSampleInstrs_) /
-            static_cast<double>(span);
+        : (instrs - s.last("gpu.instrs")) / static_cast<double>(span);
+    s.begin(now);
+
+    s.record("gpu.instrs", instrs, SeriesKind::Counter);
     s.record("gpu.interval_ipc", interval_ipc, SeriesKind::Gauge);
-    lastSampleCycle_ = now;
-    lastSampleInstrs_ = instrs;
 
-    std::uint64_t active = 0;
-    std::uint64_t issue = 0, stall_mem = 0, stall_idle = 0;
-    std::uint64_t l1_access = 0, l1_miss = 0, l1_mshr = 0;
-    for (const auto& core : cores_) {
-        active += core->residentCtas();
-        issue += core->issueCycles();
-        stall_mem += core->memStallCycles();
-        stall_idle += core->idleStallCycles();
-        l1_access += core->ldst().l1().accesses();
-        l1_miss += core->ldst().l1().misses();
-        l1_mshr += core->ldst().mshr().entriesInUse();
-    }
-    s.record("gpu.active_ctas", static_cast<double>(active),
+    s.record("gpu.active_ctas", static_cast<double>(snap.activeCtas),
              SeriesKind::Gauge);
-    s.record("core.issue_cycles", static_cast<double>(issue),
+    s.record("core.issue_cycles", static_cast<double>(snap.issueCycles),
              SeriesKind::Counter);
-    s.record("core.stall_mem", static_cast<double>(stall_mem),
+    s.record("core.stall_mem", static_cast<double>(snap.stallMem),
              SeriesKind::Counter);
-    s.record("core.stall_idle", static_cast<double>(stall_idle),
+    s.record("core.stall_idle", static_cast<double>(snap.stallIdle),
              SeriesKind::Counter);
-    s.record("l1d.access", static_cast<double>(l1_access),
+    s.record("l1d.access", static_cast<double>(snap.l1Access),
              SeriesKind::Counter);
-    s.record("l1d.miss", static_cast<double>(l1_miss),
+    s.record("l1d.miss", static_cast<double>(snap.l1Miss),
              SeriesKind::Counter);
-    s.record("l1d.mshr_in_use", static_cast<double>(l1_mshr),
+    s.record("l1d.mshr_in_use", static_cast<double>(snap.l1MshrInUse),
              SeriesKind::Gauge);
-
-    std::uint64_t l2_access = 0, l2_miss = 0, l2_mshr = 0;
-    std::uint64_t row_hit = 0, row_miss = 0, row_conflict = 0;
-    for (const auto& part : partitions_) {
-        l2_access += part->l2().accesses();
-        l2_miss += part->l2().misses();
-        l2_mshr += part->l2Mshr().entriesInUse();
-        row_hit += part->dram().rowHits();
-        row_miss += part->dram().rowMisses();
-        row_conflict += part->dram().rowConflicts();
-    }
-    s.record("l2.access", static_cast<double>(l2_access),
+    s.record("l2.access", static_cast<double>(snap.l2Access),
              SeriesKind::Counter);
-    s.record("l2.miss", static_cast<double>(l2_miss),
+    s.record("l2.miss", static_cast<double>(snap.l2Miss),
              SeriesKind::Counter);
-    s.record("l2.mshr_in_use", static_cast<double>(l2_mshr),
+    s.record("l2.mshr_in_use", static_cast<double>(snap.l2MshrInUse),
              SeriesKind::Gauge);
-    s.record("dram.row_hit", static_cast<double>(row_hit),
+    s.record("dram.row_hit", static_cast<double>(snap.rowHit),
              SeriesKind::Counter);
-    s.record("dram.row_miss", static_cast<double>(row_miss),
+    s.record("dram.row_miss", static_cast<double>(snap.rowMiss),
              SeriesKind::Counter);
-    s.record("dram.row_conflict", static_cast<double>(row_conflict),
+    s.record("dram.row_conflict", static_cast<double>(snap.rowConflict),
              SeriesKind::Counter);
 
     // Phase-telemetry gauges ride the same fenced sample cycles; the
@@ -500,57 +542,6 @@ Gpu::collectSample(Cycle now)
     // fenced sample cycle as the built-in ones.
     if (obs_.sampleSource != nullptr)
         obs_.sampleSource->recordSample(s, now);
-}
-
-void
-Gpu::closePhaseWindow(Cycle now)
-{
-    PhaseSnapshot snap;
-    snap.coreInstrs.reserve(cores_.size());
-    snap.coreIssue.reserve(cores_.size());
-    snap.coreStallMem.reserve(cores_.size());
-    snap.coreStallIdle.reserve(cores_.size());
-    for (const auto& core : cores_) {
-        const std::uint64_t instrs = core->instrsIssued();
-        const std::uint64_t issue = core->issueCycles();
-        const std::uint64_t stall_mem = core->memStallCycles();
-        const std::uint64_t stall_idle = core->idleStallCycles();
-        snap.instrs += instrs;
-        snap.issueCycles += issue;
-        snap.stallMem += stall_mem;
-        snap.stallIdle += stall_idle;
-        snap.l1Access += core->ldst().l1().accesses();
-        snap.l1Miss += core->ldst().l1().misses();
-        snap.coreInstrs.push_back(instrs);
-        snap.coreIssue.push_back(issue);
-        snap.coreStallMem.push_back(stall_mem);
-        snap.coreStallIdle.push_back(stall_idle);
-    }
-    for (const auto& part : partitions_) {
-        snap.l2Access += part->l2().accesses();
-        snap.l2Miss += part->l2().misses();
-        snap.rowHit += part->dram().rowHits();
-        snap.rowMiss += part->dram().rowMisses();
-        snap.rowConflict += part->dram().rowConflicts();
-    }
-    snap.kernelInstrs.reserve(kernels_.size());
-    for (const KernelInstance& kernel : kernels_)
-        snap.kernelInstrs.push_back(kernelInstrsIssued(kernel.id));
-    // Interference channels ride along only when the memory profiler is
-    // also attached; the detectors never read them, so detected phase
-    // boundaries are identical with or without this section.
-    if (obs_.memProfiler != nullptr) {
-        snap.hasInterference = true;
-        snap.l1CrossCta =
-            obs_.memProfiler->interference(MemLevel::L1).crossCtaEvictions;
-        snap.l2CrossCta =
-            obs_.memProfiler->interference(MemLevel::L2).crossCtaEvictions;
-        snap.dramQueueCycles = obs_.memProfiler->total()
-            .stages[static_cast<std::size_t>(MemStage::DramQueue)].sum();
-        snap.l2MshrOccCycles = obs_.memProfiler->interference(MemLevel::L2)
-            .mshrOccupancy.sum();
-    }
-    obs_.phase->closeWindow(now, snap);
 }
 
 const KernelInstance&

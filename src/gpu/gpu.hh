@@ -55,12 +55,12 @@ class Gpu
     void run();
 
     /**
-     * Take the closing sample if the attached sampler has not already
-     * sampled the current cycle: ties every series off at the final
-     * cycle so cumulative counters end exactly at the StatSet totals.
-     * run() calls this itself; external drivers (the serving engine)
-     * call it once after their own event loop ends. No-op without a
-     * sampler.
+     * Tie off every periodic observer at the current cycle: close the
+     * partial final phase window, then take the closing sample, each
+     * unless it already ticked on this cycle — so cumulative series end
+     * exactly at the StatSet totals. run() calls this itself; external
+     * drivers (the serving engine) call it once after their own event
+     * loop ends. No-op without a sampler or phase telemetry.
      */
     void finalizeSample();
 
@@ -156,19 +156,27 @@ class Gpu
      * Idle fast-forward: called right after a quiet cycle with cycle_
      * already advanced. Computes the earliest cycle any component can
      * act (cores, interconnect, partitions, CTA-scheduler deadlines,
-     * sampler), replays the per-cycle counter effects of the elided
-     * span, and jumps the clock. Skipping is sound because every
-     * component's estimate is a lower bound on its next observable
-     * event given that nothing external reaches it first.
+     * the next observation tick), replays the per-cycle counter effects
+     * of the elided span, and jumps the clock. Skipping is sound
+     * because every component's estimate is a lower bound on its next
+     * observable event given that nothing external reaches it first.
      */
     void fastForward();
 
-    /** Snapshot the sampled counter set into the interval sampler. */
-    void collectSample(Cycle now);
+    /**
+     * The one observation path: tick every periodic observer whose
+     * clock is owed at @p now (due, or with @p closing the run's final
+     * tick), all reading one counter snapshot — the phase window closes
+     * before the sample so the sampled phase gauges include it — then
+     * re-arm nextObservation_ at the earliest next due cycle.
+     */
+    void observe(Cycle now, bool closing);
 
-    /** Snapshot the cumulative counter set and close the phase-telemetry
-     *  window ending at @p now (only called with obs_.phase attached). */
-    void closePhaseWindow(Cycle now);
+    /** Sweep the core, partition and kernel counters once. */
+    CounterSnapshot snapshotCounters() const;
+
+    /** Append one sampler row at @p now from @p snap. */
+    void recordSample(Cycle now, const CounterSnapshot& snap);
 
     /** Account a drain that reached zero residency at @p now. */
     void noteDrainComplete(int kernel_id, Cycle now, Cycle latency);
@@ -183,16 +191,15 @@ class Gpu
     Cycle cycle_ = 0;
     std::uint64_t elided_ = 0; ///< cycles skipped by fastForward()
     Cycle externalEvent_ = kCycleNever; ///< fast-forward fence
+    /// The one observation poll and fast-forward fence: the earliest
+    /// cycle a periodic observer is due (0 arms it on the first cycle).
+    Cycle nextObservation_ = 0;
 
     // Drain-latency accounting (CTA-drain preemption cost).
     std::map<int, Cycle> drainStart_; ///< in-flight drains, by kernel id
     std::uint64_t drainsCompleted_ = 0;
     std::uint64_t drainCancels_ = 0;
     std::uint64_t drainLatencyCycles_ = 0;
-
-    // Interval-IPC bookkeeping for the sampler.
-    Cycle lastSampleCycle_ = 0;
-    std::uint64_t lastSampleInstrs_ = 0;
 };
 
 } // namespace bsched

@@ -32,7 +32,7 @@ safeShare(std::uint64_t part, std::uint64_t whole)
 } // namespace
 
 const WindowDeltas&
-WindowedMetrics::close(Cycle end, const PhaseSnapshot& snap)
+WindowedMetrics::close(Cycle end, const CounterSnapshot& snap)
 {
     if (!endCycles_.empty() && end <= endCycles_.back()) {
         panic("phase: window close at cycle ", end,
@@ -200,7 +200,7 @@ PhaseDetector::observe(std::size_t window,
 }
 
 PhaseTelemetry::PhaseTelemetry(PhaseConfig config)
-    : config_(config),
+    : config_(config), clock_(config.windowCycles),
       machine_(config_, std::vector<std::uint8_t>{1, 0, 0})
 {
     if (config_.windowCycles == 0)
@@ -239,10 +239,11 @@ PhaseTelemetry::emitChange(Cycle now, int kernel_id, std::int64_t scope,
 }
 
 void
-PhaseTelemetry::closeWindow(Cycle now, const PhaseSnapshot& snap)
+PhaseTelemetry::closeWindow(Cycle now, const CounterSnapshot& snap)
 {
     const std::size_t window = metrics_.windows();
     const WindowDeltas& d = metrics_.close(now, snap);
+    clock_.tick(now);
 
     // The machine detector reads IPC, the memory-stall share and the
     // L1 miss rate. Row-buffer hit rate is exported but not detected

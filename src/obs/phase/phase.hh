@@ -9,16 +9,17 @@
  * stall cycles, cache accesses, DRAM row outcomes, and — when a
  * MemProfiler is attached — the inter-CTA interference counters) into
  * fixed-width windows by snapshotting cumulative values at window
- * boundaries, so the per-cycle cost is a single due() comparison and
- * the per-window cost is one counter sweep. On top, `PhaseDetector`
- * instances (whole machine, per core, per kernel) segment the window
- * stream into phases: a window whose channels deviate from the current
- * phase's running reference starts a pending change, and `hysteresis`
- * consecutive deviating windows commit it, backdated to the first.
+ * boundaries, so the per-cycle cost is one clock comparison and the
+ * per-window cost is one counter sweep (shared with the sampler). On
+ * top, `PhaseDetector` instances (whole machine, per core, per
+ * kernel) segment the window stream into phases: a window whose
+ * channels deviate from the current phase's running reference starts a
+ * pending change, and `hysteresis` consecutive deviating windows
+ * commit it, backdated to the first.
  *
  * Determinism contract: windows close on the same cycles whether or not
- * idle fast-forward elides quiet spans — the Gpu includes nextDue() in
- * its fast-forward fence, exactly like the IntervalSampler — and every
+ * idle fast-forward elides quiet spans — the window clock is an
+ * ObservationClock, fenced by the Gpu like the sampler's — and every
  * input is a cumulative counter that span replay already reconstructs.
  * The `bsched-phase-v1` artifact is therefore byte-identical across
  * --jobs counts, fast-forward on/off, and repeated runs (CI-enforced).
@@ -42,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/observer.hh"
 #include "sim/types.hh"
 
 namespace bsched {
@@ -65,43 +67,6 @@ struct PhaseConfig
     /** Consecutive out-of-band windows required to commit a phase
      *  change (the change is backdated to the first of them). */
     std::uint32_t hysteresis = 2;
-};
-
-/**
- * Cumulative counter values read at one window boundary. The Gpu fills
- * this from component accessors (the same ones collectSample() reads);
- * WindowedMetrics differences consecutive snapshots into window deltas.
- */
-struct PhaseSnapshot
-{
-    std::uint64_t instrs = 0;
-    std::uint64_t issueCycles = 0;
-    std::uint64_t stallMem = 0;
-    std::uint64_t stallIdle = 0;
-    std::uint64_t l1Access = 0;
-    std::uint64_t l1Miss = 0;
-    std::uint64_t l2Access = 0;
-    std::uint64_t l2Miss = 0;
-    std::uint64_t rowHit = 0;
-    std::uint64_t rowMiss = 0;
-    std::uint64_t rowConflict = 0;
-
-    /** Per-core cumulative counters (index = core id). */
-    std::vector<std::uint64_t> coreInstrs;
-    std::vector<std::uint64_t> coreIssue;
-    std::vector<std::uint64_t> coreStallMem;
-    std::vector<std::uint64_t> coreStallIdle;
-
-    /** Per-kernel cumulative issued instructions (index = kernel id). */
-    std::vector<std::uint64_t> kernelInstrs;
-
-    /** Interference counters, filled only when a MemProfiler rides
-     *  along; hasInterference gates the artifact section. */
-    bool hasInterference = false;
-    std::uint64_t l1CrossCta = 0;
-    std::uint64_t l2CrossCta = 0;
-    std::uint64_t dramQueueCycles = 0; ///< DramQueue stage cycle sum
-    std::uint64_t l2MshrOccCycles = 0; ///< time-weighted occupancy sum
 };
 
 /** Channel values derived from the window just closed. */
@@ -133,7 +98,7 @@ class WindowedMetrics
   public:
     /** Close the window ending at @p end with cumulative @p snap;
      *  returns the derived channel values of that window. */
-    const WindowDeltas& close(Cycle end, const PhaseSnapshot& snap);
+    const WindowDeltas& close(Cycle end, const CounterSnapshot& snap);
 
     std::size_t windows() const { return endCycles_.size(); }
     const std::vector<Cycle>& endCycles() const { return endCycles_; }
@@ -174,7 +139,7 @@ class WindowedMetrics
     }
 
   private:
-    PhaseSnapshot prev_;
+    CounterSnapshot prev_;
     Cycle prevCycle_ = 0;
     WindowDeltas last_;
     bool hasInterference_ = false;
@@ -244,11 +209,11 @@ class PhaseDetector
 
 /**
  * The attachable telemetry unit: owns the window clock, the aggregator
- * and the detector set. Attached through Observer::phase; the Gpu calls
- * due()/closeWindow() on window boundaries (fenced against idle
- * fast-forward via nextDue()), records the `phase.current`/`phase.count`
- * gauges on its IntervalSampler, and ties off the final partial window
- * from finalizeSample().
+ * and the detector set. Attached through Observer::phase; the Gpu
+ * calls closeWindow() whenever cadence() is due (and once more to tie
+ * off the final partial window), always before a sample on the same
+ * cycle, and records the `phase.current`/`phase.count` gauges on its
+ * IntervalSampler.
  */
 class PhaseTelemetry
 {
@@ -264,33 +229,12 @@ class PhaseTelemetry
 
     const PhaseConfig& config() const { return config_; }
 
-    /** True when the window ending at @p now is owed. */
-    bool due(Cycle now) const
-    {
-        const auto& ends = metrics_.endCycles();
-        return ends.empty() ? now >= config_.windowCycles
-                            : now >= ends.back() + config_.windowCycles;
-    }
-
-    /** Earliest cycle at which due() becomes true — the idle
-     *  fast-forward fence, exactly like IntervalSampler::nextDue(). */
-    Cycle nextDue() const
-    {
-        const auto& ends = metrics_.endCycles();
-        return ends.empty() ? config_.windowCycles
-                            : ends.back() + config_.windowCycles;
-    }
-
-    /** True when a partial final window remains to tie off at @p now. */
-    bool finalPending(Cycle now) const
-    {
-        const auto& ends = metrics_.endCycles();
-        return now > 0 && (ends.empty() || ends.back() != now);
-    }
+    /** The window clock: one window closes every `windowCycles`. */
+    const ObservationClock& cadence() const { return clock_; }
 
     /** Close the window ending at @p now: difference the snapshot, feed
      *  every detector, emit phase.change instants for commits. */
-    void closeWindow(Cycle now, const PhaseSnapshot& snap);
+    void closeWindow(Cycle now, const CounterSnapshot& snap);
 
     // --- sampler gauges -------------------------------------------------
 
@@ -329,6 +273,7 @@ class PhaseTelemetry
                     std::size_t phase);
 
     PhaseConfig config_;
+    ObservationClock clock_;
     WindowedMetrics metrics_;
     PhaseDetector machine_;
     std::vector<PhaseDetector> cores_;

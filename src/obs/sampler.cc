@@ -20,9 +20,9 @@ toString(SeriesKind kind)
 }
 
 IntervalSampler::IntervalSampler(Cycle period)
-    : period_(period)
+    : clock_(period)
 {
-    if (period_ == 0)
+    if (period == 0)
         fatal("sampler: period must be > 0 cycles");
 }
 
@@ -40,6 +40,7 @@ IntervalSampler::begin(Cycle now)
         }
     }
     cycles_.push_back(now);
+    clock_.tick(now);
 }
 
 void

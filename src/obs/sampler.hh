@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/observer.hh"
 #include "sim/types.hh"
 
 namespace bsched {
@@ -50,24 +51,10 @@ class IntervalSampler
     /** Sample every @p period cycles (fatal() on 0). */
     explicit IntervalSampler(Cycle period);
 
-    Cycle period() const { return period_; }
+    Cycle period() const { return clock_.period(); }
 
-    /** True when a sample is owed at @p now (every `period` cycles). */
-    bool due(Cycle now) const
-    {
-        return cycles_.empty() ? now >= period_
-                               : now >= cycles_.back() + period_;
-    }
-
-    /**
-     * Earliest cycle at which due() becomes true. Idle fast-forward
-     * must not skip past this: samples land on the same cycles whether
-     * or not quiet spans are elided.
-     */
-    Cycle nextDue() const
-    {
-        return cycles_.empty() ? period_ : cycles_.back() + period_;
-    }
+    /** The sample clock: one sample owed every `period` cycles. */
+    const ObservationClock& cadence() const { return clock_; }
 
     /**
      * Open a sample row at @p now. Every series must then be recorded
@@ -108,7 +95,7 @@ class IntervalSampler
     void writeCsv(std::ostream& os) const;
 
   private:
-    Cycle period_;
+    ObservationClock clock_;
     std::vector<Cycle> cycles_;
     std::map<std::string, SampleSeries> series_;
 };

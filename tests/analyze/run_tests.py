@@ -287,6 +287,31 @@ class ObserverGuardsPass(AnalyzeCase):
         code, out = repo.run()
         self.assertEqual(code, 0, out)
 
+    def test_unguarded_phase_and_sample_source_fire(self) -> None:
+        repo = self.repo()
+        repo.write("src/gpu/model.cc", "\n".join([
+            "void Model::closeWindow(Cycle now)",
+            "{",
+            "    obs_.phase->closeWindow(now, snapshot());",
+            "}",
+            "void Model::sample(Cycle now)",
+            "{",
+            "    obs_.sampleSource->recordSample(sampler(), now);",
+            "}",
+            "void Model::guarded(Cycle now)",
+            "{",
+            "    if (obs_.phase != nullptr)",
+            "        obs_.phase->closeWindow(now, snapshot());",
+            "}",
+            "",
+        ]))
+        code, out = repo.run()
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("observer-guards.unguarded-call"), 2,
+                         out)
+        self.assertIn("'obs_.phase->'", out)
+        self.assertIn("'obs_.sampleSource->'", out)
+
     def test_guard_does_not_leak_across_functions(self) -> None:
         repo = self.repo()
         repo.write("src/gpu/model.cc", "\n".join([
@@ -316,9 +341,20 @@ class ObserverGuardsPass(AnalyzeCase):
             "}",
             "",
         ]))
+        # The same poll through an observer's ObservationClock.
+        repo.write("src/gpu/clocked.cc", "\n".join([
+            "void Clocked::tick(Cycle now)",
+            "{",
+            "    if (sampler_ && sampler_->cadence().due(now))",
+            "        sample(now);",
+            "}",
+            "",
+        ]))
         code, out = repo.run()
         self.assertEqual(code, 1)
         self.assertRule(out, "observer-guards.unfenced-sampler")
+        self.assertEqual(out.count("observer-guards.unfenced-sampler"), 2,
+                         out)
 
     def test_due_with_next_due_in_module_is_clean(self) -> None:
         repo = self.repo()

@@ -4,11 +4,11 @@
  * must be invisible in every serialized artifact. Each test runs the
  * same simulation with fast-forward on and off and compares the
  * concatenated `bsched-run-v1` + `bsched-profile-v1` +
- * `bsched-memprofile-v1` bytes — across all four warp schedulers, the
- * LCS/BCS/DynCTA CTA schedulers, multi-kernel policies and harness job
- * counts. Also holds the regression tests for the launchKernel
- * core-range validation and response-injection fairness fixes that
- * shipped with the fast-forward work.
+ * `bsched-memprofile-v1` + `bsched-phase-v1` bytes — across all four
+ * warp schedulers, the LCS/BCS/DynCTA CTA schedulers, multi-kernel
+ * policies and harness job counts. Also holds the regression tests
+ * for the launchKernel core-range validation and response-injection
+ * fairness fixes that shipped with the fast-forward work.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "harness/runner.hh"
 #include "kernel/program_builder.hh"
 #include "obs/mem_profile.hh"
+#include "obs/phase/phase.hh"
 #include "obs/profile.hh"
 #include "obs/sampler.hh"
 #include "obs/sink.hh"
@@ -131,7 +132,12 @@ smallConfig(WarpSchedKind warp_sched, CtaSchedKind cta_sched)
 /**
  * Run @p kernel with the full profiling stack attached and serialize
  * everything observable: the run artifact (stats + sampled series),
- * the cycle-accounting profile and the memory profile.
+ * the cycle-accounting profile, the memory profile and the phase
+ * telemetry. The 160-cycle phase window shares every fifth of the
+ * sampler's 64-cycle sample points (multiples of 320) and falls
+ * between them otherwise, so both periodic observers must land on
+ * their own cycles, and in order on the shared ones, across elided
+ * spans.
  */
 std::string
 artifactBytes(GpuConfig config, const KernelInfo& kernel, bool fast_forward)
@@ -140,16 +146,21 @@ artifactBytes(GpuConfig config, const KernelInfo& kernel, bool fast_forward)
     IntervalSampler sampler(64);
     CycleProfiler profiler;
     MemProfiler mem_profiler;
+    PhaseConfig phase_config;
+    phase_config.windowCycles = 160;
+    PhaseTelemetry phase(phase_config);
     Observer obs;
     obs.sampler = &sampler;
     obs.profiler = &profiler;
     obs.memProfiler = &mem_profiler;
+    obs.phase = &phase;
     const RunResult result = runKernel(config, kernel, obs);
 
     std::ostringstream os;
     writeRunJson(os, result, kernel.name, &sampler);
     writeProfileJson(os, profiler, kernel.name);
     writeMemProfileJson(os, mem_profiler, kernel.name);
+    writePhaseJson(os, phase, kernel.name);
     return os.str();
 }
 

@@ -52,12 +52,12 @@ TEST(IntervalSampler, ZeroPeriodIsFatal)
 TEST(IntervalSampler, DueEveryPeriod)
 {
     IntervalSampler s(100);
-    EXPECT_FALSE(s.due(99));
-    EXPECT_TRUE(s.due(100));
+    EXPECT_FALSE(s.cadence().due(99));
+    EXPECT_TRUE(s.cadence().due(100));
     s.begin(100);
     s.record("x", 1.0, SeriesKind::Counter);
-    EXPECT_FALSE(s.due(199));
-    EXPECT_TRUE(s.due(200));
+    EXPECT_FALSE(s.cadence().due(199));
+    EXPECT_TRUE(s.cadence().due(200));
 }
 
 TEST(IntervalSampler, RecordsAlignedSeries)

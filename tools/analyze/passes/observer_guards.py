@@ -40,7 +40,7 @@ RULES = {
 SCOPE = ("src/core/", "src/cta/", "src/mem/", "src/gpu/", "src/serve/")
 
 MEMBER_RE = re.compile(
-    r"\b(obs_\.(?:tracer|sampler|profiler|memProfiler)"
+    r"\b(obs_\.(?:tracer|sampler|profiler|memProfiler|phase|sampleSource)"
     r"|tracer_|sampler_|profiler_|memProfiler_|trace_)\s*->"
 )
 
