@@ -157,7 +157,10 @@ parseArgs(int& argc, char** argv, Cli cli)
                   usage(cli), ")");
         const char* spelled = arg[1] == '-' ? flag->name : flag->shortName;
         if (flag->value != nullptr && value == nullptr) {
-            if (i + 1 >= argc)
+            // A separate value never starts with '-': that entry is the
+            // next flag, and this one was given no value (a value that
+            // does start with '-' can still be attached: --flag=VALUE).
+            if (i + 1 >= argc || argv[i + 1][0] == '-')
                 fatal(flag->name, " requires a value");
             value = argv[++i];
         }

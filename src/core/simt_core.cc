@@ -1,6 +1,7 @@
 #include "core/simt_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "kernel/mem_pattern.hh"
 #include "obs/mem_profile.hh"
@@ -20,10 +21,17 @@ SimtCore::SimtCore(const GpuConfig& config, std::uint32_t id)
       resources_(config),
       ldst_(config, id),
       warpWake_(config.maxWarpsPerCore(), 0),
+      warpOp_(config.maxWarpsPerCore(), Opcode::Exit),
       warpKernel_(config.maxWarpsPerCore(), kInvalidId),
       freeWarpSlots_(config.maxWarpsPerCore()),
       slotStall_(config.numSchedulersPerCore)
 {
+    const std::size_t slots = config.numSchedulersPerCore;
+    const std::size_t per_slot = (warps_.size() + slots - 1) / slots;
+    maskWords_ = std::max<std::size_t>(1, (per_slot + 63) / 64);
+    liveMask_.assign(slots * maskWords_, 0);
+    barrierMask_.assign(slots * maskWords_, 0);
+    clearMask_.assign(slots * kNumOpcodes * maskWords_, 0);
     for (std::uint32_t s = 0; s < config.numSchedulersPerCore; ++s) {
         schedulers_.push_back(WarpScheduler::create(
             config.warpSched, config.twoLevelActiveSize));
@@ -54,6 +62,8 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
                  residentCtas(), ")");
     if (!canAccept(kernel))
         panic(name_, ": launchCta without capacity");
+    if (kernel_id < 0)
+        panic(name_, ": launchCta with invalid kernel id ", kernel_id);
     const CtaFootprint fp = ctaFootprint(kernel);
     int slot = kInvalidId;
     for (std::size_t i = 0; i < ctas_.size(); ++i) {
@@ -94,20 +104,28 @@ SimtCore::launchCta(Cycle now, const KernelInfo& kernel, int kernel_id,
         warp.kernel = &kernel;
         warp.cursor.init(kernel.program, cta_id);
         warp.sb.reset();
-        warpWake_[w] = 0;
         warpKernel_[w] = kernel_id;
+        for (std::size_t op = 0; op < kNumOpcodes; ++op)
+            clearMask_[clearIndex(w, static_cast<Opcode>(op))] &=
+                ~maskBit(w);
+        barrierMask_[maskIndex(w)] &= ~maskBit(w);
         --freeWarpSlots_;
         if (warp.cursor.done(kernel.program)) {
             // Degenerate empty program: warp is born finished.
             warp.done = true;
             ++cta.warpsDone;
+        } else {
+            liveMask_[maskIndex(w)] |= maskBit(w);
+            noteCurrentInstr(w);
         }
         ++placed;
     }
     if (placed != fp.warps)
         panic(name_, ": warp slot accounting mismatch");
 
-    KernelTrack& track = kernels_[kernel_id];
+    if (static_cast<std::size_t>(kernel_id) >= kernels_.size())
+        kernels_.resize(static_cast<std::size_t>(kernel_id) + 1);
+    KernelTrack& track = kernels_[static_cast<std::size_t>(kernel_id)];
     if (track.firstLaunch == kCycleNever)
         track.firstLaunch = now;
     ++ctasLaunched_;
@@ -164,27 +182,35 @@ SimtCore::residentCtas(int kernel_id) const
     return count;
 }
 
+const SimtCore::KernelTrack*
+SimtCore::findKernel(int kernel_id) const
+{
+    if (kernel_id < 0 ||
+        static_cast<std::size_t>(kernel_id) >= kernels_.size())
+        return nullptr;
+    return &kernels_[static_cast<std::size_t>(kernel_id)];
+}
+
 std::uint64_t
 SimtCore::instrsIssued(int kernel_id) const
 {
-    auto it = kernels_.find(kernel_id);
-    return it == kernels_.end() ? 0 : it->second.issued;
+    const KernelTrack* track = findKernel(kernel_id);
+    return track == nullptr ? 0 : track->issued;
 }
 
 Cycle
 SimtCore::kernelFirstLaunch(int kernel_id) const
 {
-    auto it = kernels_.find(kernel_id);
-    return it == kernels_.end() ? kCycleNever : it->second.firstLaunch;
+    const KernelTrack* track = findKernel(kernel_id);
+    return track == nullptr ? kCycleNever : track->firstLaunch;
 }
 
 std::vector<std::uint64_t>
 SimtCore::ctaIssueCounts(int kernel_id) const
 {
     std::vector<std::uint64_t> counts;
-    auto it = kernels_.find(kernel_id);
-    if (it != kernels_.end())
-        counts = it->second.completedCtaIssued;
+    if (const KernelTrack* track = findKernel(kernel_id))
+        counts = track->completedCtaIssued;
     for (const HwCta& cta : ctas_) {
         if (cta.valid && cta.kernelId == kernel_id)
             counts.push_back(cta.issued);
@@ -192,26 +218,64 @@ SimtCore::ctaIssueCounts(int kernel_id) const
     return counts;
 }
 
-bool
-SimtCore::structuralReady(const Instr& instr, Cycle now) const
+std::array<bool, SimtCore::kNumOpcodes>
+SimtCore::structuralGate(Cycle now) const
 {
-    switch (instr.op) {
-      case Opcode::LdGlobal:
-      case Opcode::StGlobal:
-        return memIssuedThisCycle_ < config_.ldstUnits &&
-            ldst_.canAdmit(instr.op == Opcode::StGlobal);
-      case Opcode::LdShared:
-      case Opcode::StShared:
-        return memIssuedThisCycle_ < config_.ldstUnits &&
-            smemBusyUntil_ <= now;
-      case Opcode::Sfu:
-        return sfuIssuedThisCycle_ < config_.sfuUnits;
-      case Opcode::Alu:
-      case Opcode::Bar:
-      case Opcode::Exit:
-        return true;
-    }
-    return false;
+    const bool port = memIssuedThisCycle_ < config_.ldstUnits;
+    const bool smem = port && smemBusyUntil_ <= now;
+    std::array<bool, kNumOpcodes> gate{};
+    gate[static_cast<std::size_t>(Opcode::Alu)] = true;
+    gate[static_cast<std::size_t>(Opcode::Sfu)] =
+        sfuIssuedThisCycle_ < config_.sfuUnits;
+    gate[static_cast<std::size_t>(Opcode::LdGlobal)] =
+        port && ldst_.canAdmit(false);
+    gate[static_cast<std::size_t>(Opcode::StGlobal)] =
+        port && ldst_.canAdmit(true);
+    gate[static_cast<std::size_t>(Opcode::LdShared)] = smem;
+    gate[static_cast<std::size_t>(Opcode::StShared)] = smem;
+    gate[static_cast<std::size_t>(Opcode::Bar)] = true;
+    gate[static_cast<std::size_t>(Opcode::Exit)] = true;
+    return gate;
+}
+
+std::size_t
+SimtCore::maskIndex(std::size_t w) const
+{
+    const std::size_t slots = config_.numSchedulersPerCore;
+    return (w % slots) * maskWords_ + (w / slots) / 64;
+}
+
+std::size_t
+SimtCore::clearIndex(std::size_t w, Opcode op) const
+{
+    const std::size_t slots = config_.numSchedulersPerCore;
+    return ((w % slots) * kNumOpcodes + static_cast<std::size_t>(op)) *
+        maskWords_ + (w / slots) / 64;
+}
+
+std::uint64_t
+SimtCore::maskBit(std::size_t w) const
+{
+    return 1ULL << ((w / config_.numSchedulersPerCore) % 64);
+}
+
+std::size_t
+SimtCore::warpAt(std::size_t index, std::uint64_t bits) const
+{
+    const std::size_t slot = index / maskWords_;
+    const std::size_t word = index % maskWords_;
+    return slot + (word * 64 + static_cast<std::size_t>(
+                                   std::countr_zero(bits))) *
+        config_.numSchedulersPerCore;
+}
+
+void
+SimtCore::noteCurrentInstr(std::size_t w)
+{
+    const Warp& warp = warps_[w];
+    const Instr& instr = warp.cursor.instr(warp.kernel->program);
+    warpWake_[w] = warp.sb.nextReadyCycle(instr);
+    warpOp_[w] = instr.op;
 }
 
 void
@@ -286,14 +350,23 @@ SimtCore::issueFrom(int warp_id, Cycle now)
     ++issuedTotal_;
     HwCta& cta = ctas_[static_cast<std::size_t>(warp.hwCta)];
     ++cta.issued;
-    ++kernels_[warp.kernelId].issued;
+    ++kernels_[static_cast<std::size_t>(warp.kernelId)].issued;
 
+    // Issuing ends the warp's scoreboard-clear run (its next
+    // instruction is re-checked once its wake time passes).
+    const auto w = static_cast<std::size_t>(warp_id);
+    clearMask_[clearIndex(w, instr.op)] &= ~maskBit(w);
     const bool was_barrier = instr.op == Opcode::Bar;
     warp.cursor.advance(prog, warp.ctaId);
-    if (warp.cursor.done(prog))
+    if (warp.cursor.done(prog)) {
         finishWarp(warp_id, now);
-    else if (was_barrier)
+        return;
+    }
+    noteCurrentInstr(w);
+    if (was_barrier) {
+        barrierMask_[maskIndex(w)] |= maskBit(w);
         checkBarrier(warp.hwCta);
+    }
 }
 
 void
@@ -301,6 +374,8 @@ SimtCore::finishWarp(int warp_id, Cycle now)
 {
     Warp& warp = warps_[static_cast<std::size_t>(warp_id)];
     warp.done = true;
+    liveMask_[maskIndex(static_cast<std::size_t>(warp_id))] &=
+        ~maskBit(static_cast<std::size_t>(warp_id));
     HwCta& cta = ctas_[static_cast<std::size_t>(warp.hwCta)];
     ++cta.warpsDone;
     if (cta.warpsDone == cta.warpsTotal)
@@ -337,7 +412,8 @@ SimtCore::completeCta(int hw_cta, Cycle now)
             sched->notifyBlockRetired(cta.blockSeq);
     }
     resources_.release(cta.footprint);
-    kernels_[cta.kernelId].completedCtaIssued.push_back(cta.issued);
+    kernels_[static_cast<std::size_t>(cta.kernelId)]
+        .completedCtaIssued.push_back(cta.issued);
     completed_.push_back(
         {id_, cta.kernelId, cta.ctaId, cta.issued, now, cta.kernel});
     ++ctasCompleted_;
@@ -378,9 +454,12 @@ SimtCore::checkBarrier(int hw_cta)
             ++arrived;
     }
     if (live > 0 && arrived == live) {
-        for (Warp& warp : warps_) {
-            if (warp.valid && warp.hwCta == hw_cta)
+        for (std::size_t w = 0; w < warps_.size(); ++w) {
+            Warp& warp = warps_[w];
+            if (warp.valid && warp.hwCta == hw_cta) {
                 warp.atBarrier = false;
+                barrierMask_[maskIndex(w)] &= ~maskBit(w);
+            }
         }
     }
 }
@@ -394,7 +473,8 @@ SimtCore::applyCompletions(Cycle now)
         // The warp slot may have been recycled only if its CTA finished,
         // which is impossible with a load in flight.
         warp.sb.release(done.reg, now);
-        warpWake_[static_cast<std::size_t>(done.warpId)] = 0;
+        if (warp.live())
+            noteCurrentInstr(static_cast<std::size_t>(done.warpId));
         applied = true;
     }
     return applied;
@@ -418,77 +498,111 @@ SimtCore::tick(Cycle now)
     bool issued_any = false;
     std::uint32_t issuedThisCycle = 0;
     const bool profiling = profiler_ != nullptr;
+    const std::size_t slots = schedulers_.size();
+    const std::size_t words = maskWords_;
     std::vector<int>& ready = readyScratch_;
-    for (std::size_t s = 0; s < schedulers_.size(); ++s) {
+    for (std::size_t s = 0; s < slots; ++s) {
         ready.clear();
-        // Stall classification is fused into the issue scan: when the
-        // profiler is attached the first-seen candidate per category is
-        // collected while the scan walks the slot's warps.
+        // The ports only change when a slot issues, so one gate serves
+        // every warp of this slot; it is derived once a clear warp needs
+        // it.
+        std::array<bool, kNumOpcodes> gate{};
+        bool gated = false;
+        // Stall classification is fused into the issue scan: with the
+        // profiler attached, the lowest warp of each category (the
+        // scan's first-seen order) is kept while the words are walked.
         int barrier_kernel = kInvalidId;
         int mem_kernel = kInvalidId;
         int sb_kernel = kInvalidId;
         int pipe_kernel = kInvalidId;
-        for (std::size_t w = s; w < warps_.size();
-             w += schedulers_.size()) {
-            // SoA fast path: a slot whose cached scoreboard wake time
-            // is in the future cannot issue — skip without touching
-            // the warp record (warpKernel_ mirrors the occupying
-            // warp's kernel; a cached wake implies the warp is live).
-            const Cycle cached_wake = warpWake_[w];
-            if (cached_wake > now) {
+        // The warp of the lowest set bit in word k of this slot's masks.
+        const auto lowest = [&](std::size_t k, std::uint64_t bits) {
+            return warpAt(s * words + k, bits);
+        };
+        const auto first = [&](int& kernel, std::uint64_t bits,
+                               std::size_t k) {
+            if (kernel == kInvalidId && bits != 0)
+                kernel = warpKernel_[lowest(k, bits)];
+        };
+        for (std::size_t k = 0; k < words; ++k) {
+            std::uint64_t* clear = &clearMask_[s * kNumOpcodes * words + k];
+            const std::uint64_t live = liveMask_[s * words + k];
+            const std::uint64_t barrier = barrierMask_[s * words + k];
+            std::uint64_t any_clear = 0;
+            for (std::size_t op = 0; op < kNumOpcodes; ++op)
+                any_clear |= clear[op * words];
+            // Live warps off the barrier that are not yet known clear:
+            // the only ones whose wake time the scan reads.
+            std::uint64_t on_load = 0; // awaiting a load release
+            std::uint64_t on_pipe = 0; // awaiting a fixed-latency result
+            for (std::uint64_t m = live & ~barrier & ~any_clear; m != 0;
+                 m &= m - 1) {
+                const std::uint64_t bit = m & (~m + 1);
+                const std::size_t w = lowest(k, m);
+                const Cycle wake = warpWake_[w];
                 BSCHED_CHECK(
-                    warps_[w].live() && !warps_[w].atBarrier &&
-                        !warps_[w].sb.canIssue(
-                            warps_[w].cursor.instr(warps_[w].kernel->program),
+                    (wake <= now) ==
+                        warps_[w].sb.canIssue(
+                            warps_[w].cursor.instr(
+                                warps_[w].kernel->program),
                             now),
                     name_, ": stale warp wake cache for warp ", w,
-                    " (cached ", cached_wake, " at cycle ", now, ")");
-                if (profiling) {
-                    if (cached_wake == kCycleNever) {
-                        if (sb_kernel == kInvalidId)
-                            sb_kernel = warpKernel_[w];
-                    } else if (pipe_kernel == kInvalidId) {
-                        pipe_kernel = warpKernel_[w];
-                    }
+                    " (cached ", wake, " at cycle ", now, ")");
+                if (wake <= now) {
+                    clear[static_cast<std::size_t>(warpOp_[w]) * words] |= bit;
+                    any_clear |= bit;
+                } else if (wake == kCycleNever) {
+                    on_load |= bit;
+                } else {
+                    on_pipe |= bit;
                 }
-                continue;
             }
-            const Warp& warp = warps_[w];
-            if (!warp.live())
-                continue;
-            if (warp.atBarrier) {
-                if (barrier_kernel == kInvalidId)
-                    barrier_kernel = warp.kernelId;
-                continue;
-            }
-            const Instr& instr = warp.cursor.instr(warp.kernel->program);
-            if (!warp.sb.canIssue(instr, now)) {
-                // Cache the wake time; cleared on release/issue/launch.
-                const Cycle wake = warp.sb.nextReadyCycle(instr);
-                warpWake_[w] = wake;
-                if (profiling) {
-                    if (wake == kCycleNever) {
-                        if (sb_kernel == kInvalidId)
-                            sb_kernel = warp.kernelId;
-                    } else if (pipe_kernel == kInvalidId) {
-                        pipe_kernel = warp.kernelId;
-                    }
+#if BSCHED_CHECKS_ENABLED
+            for (std::size_t op = 0; op < kNumOpcodes; ++op) {
+                for (std::uint64_t m = clear[op * words]; m != 0;
+                     m &= m - 1) {
+                    const std::size_t w = lowest(k, m);
+                    const Warp& warp = warps_[w];
+                    BSCHED_CHECK(
+                        warp.live() && !warp.atBarrier &&
+                            static_cast<std::size_t>(
+                                warp.cursor.instr(warp.kernel->program).op) ==
+                                op &&
+                            warp.sb.canIssue(
+                                warp.cursor.instr(warp.kernel->program),
+                                now),
+                        name_, ": stale readiness mask for warp ", w,
+                        " (opcode ", op, ") at cycle ", now);
                 }
-                continue;
             }
-            if (structuralReady(instr, now)) {
-                ready.push_back(static_cast<int>(w));
-            } else if (profiling) {
-                // The refusal kind follows from the opcode alone: only
-                // memory ops (LD/ST port, LD/ST queue, MSHRs, shared
-                // memory) and the SFU port can structurally refuse a
-                // scoreboard-clear warp.
-                if (instr.op == Opcode::Sfu) {
-                    if (pipe_kernel == kInvalidId)
-                        pipe_kernel = warp.kernelId;
-                } else if (mem_kernel == kInvalidId) {
-                    mem_kernel = warp.kernelId;
+#endif
+            // The refusal kind follows from the opcode alone: only
+            // memory ops (LD/ST port, LD/ST queue, MSHRs, shared memory)
+            // and the SFU port can refuse a scoreboard-clear warp.
+            std::uint64_t ready_bits = 0;
+            std::uint64_t mem_refused = 0;
+            if (any_clear != 0) {
+                if (!gated) {
+                    gate = structuralGate(now);
+                    gated = true;
                 }
+                for (std::size_t op = 0; op < kNumOpcodes; ++op) {
+                    const std::uint64_t bits = clear[op * words];
+                    if (gate[op])
+                        ready_bits |= bits;
+                    else if (op == static_cast<std::size_t>(Opcode::Sfu))
+                        on_pipe |= bits;
+                    else
+                        mem_refused |= bits;
+                }
+            }
+            for (std::uint64_t m = ready_bits; m != 0; m &= m - 1)
+                ready.push_back(static_cast<int>(lowest(k, m)));
+            if (profiling) {
+                first(barrier_kernel, barrier, k);
+                first(mem_kernel, mem_refused, k);
+                first(sb_kernel, on_load, k);
+                first(pipe_kernel, on_pipe, k);
             }
         }
         if (ready.empty()) {
@@ -520,7 +634,6 @@ SimtCore::tick(Cycle now)
         const int chosen = schedulers_[s]->pick(ready, warps_);
         if (chosen < 0)
             panic(name_, ": scheduler returned no warp from ready set");
-        warpWake_[static_cast<std::size_t>(chosen)] = 0;
         // Notify before issuing: issueFrom can retire the warp's CTA and
         // recycle the slot, after which its metadata is gone.
         schedulers_[s]->notifyIssued(chosen, warps_);
@@ -563,38 +676,39 @@ SimtCore::nextWorkCycle(Cycle now) const
     Cycle next = ldst_.nextEventCycle(now);
     if (residentCtas() == 0)
         return next;
-    for (std::size_t w = 0; w < warps_.size(); ++w) {
-        const Warp& warp = warps_[w];
-        if (!warp.live() || warp.atBarrier)
-            continue;
-        const Instr& instr = warp.cursor.instr(warp.kernel->program);
-        Cycle wake = warp.sb.nextReadyCycle(instr);
-        switch (instr.op) {
-          case Opcode::LdShared:
-          case Opcode::StShared:
-            wake = std::max(wake, smemBusyUntil_);
-            break;
-          case Opcode::LdGlobal:
-          case Opcode::StGlobal:
-            if (wake < now) {
-                // Scoreboard-clear at the quiet cycle (`now` - 1) yet
-                // not issued, so it was structurally refused then.
-                // Queue/outgoing refusals pin the LD/ST unit's
-                // nextEventCycle at `now` already; an MSHR-full refusal
-                // clears only on a fill, an external event the GPU's
-                // memory-side estimates bound. A warp with wake == now
-                // carries no such evidence — its scoreboard clears only
-                // this cycle and it may issue right here, so it must
-                // pin the estimate (the max() below yields `now`).
-                continue;
+    for (std::size_t i = 0; i < liveMask_.size(); ++i) {
+        for (std::uint64_t m = liveMask_[i] & ~barrierMask_[i]; m != 0;
+             m &= m - 1) {
+            const std::size_t w = warpAt(i, m);
+            Cycle wake = warpWake_[w];
+            switch (warpOp_[w]) {
+              case Opcode::LdShared:
+              case Opcode::StShared:
+                wake = std::max(wake, smemBusyUntil_);
+                break;
+              case Opcode::LdGlobal:
+              case Opcode::StGlobal:
+                if (wake < now) {
+                    // Scoreboard-clear at the quiet cycle (`now` - 1) yet
+                    // not issued, so it was structurally refused then.
+                    // Queue/outgoing refusals pin the LD/ST unit's
+                    // nextEventCycle at `now` already; an MSHR-full
+                    // refusal clears only on a fill, an external event
+                    // the GPU's memory-side estimates bound. A warp with
+                    // wake == now carries no such evidence — its
+                    // scoreboard clears only this cycle and it may issue
+                    // right here, so it must pin the estimate (the max()
+                    // below yields `now`).
+                    continue;
+                }
+                break;
+              default:
+                break;
             }
-            break;
-          default:
-            break;
+            if (wake == kCycleNever)
+                continue; // wakes on a load fill (event, not time)
+            next = std::min(next, std::max(wake, now));
         }
-        if (wake == kCycleNever)
-            continue; // wakes on a load fill (event, not time)
-        next = std::min(next, std::max(wake, now));
     }
     return next;
 }

@@ -10,8 +10,8 @@
 #ifndef BSCHED_CORE_SIMT_CORE_HH
 #define BSCHED_CORE_SIMT_CORE_HH
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -192,9 +192,24 @@ class SimtCore
         std::vector<std::uint64_t> completedCtaIssued;
     };
 
-    /** Structural issue check for a scoreboard-clear warp (ports,
-     *  LD/ST admission, shared-memory port). */
-    bool structuralReady(const Instr& instr, Cycle now) const;
+    static constexpr std::size_t kNumOpcodes =
+        static_cast<std::size_t>(Opcode::Exit) + 1;
+
+    /** Per-opcode structural gate of the scheduler slot about to pick:
+     *  which opcodes the LD/ST, shared-memory and SFU ports accept. */
+    std::array<bool, kNumOpcodes> structuralGate(Cycle now) const;
+    /** Warp @p w's word in a [slot][word] mask, its word in the
+     *  [slot][opcode][word] clear mask, and its bit in either. */
+    std::size_t maskIndex(std::size_t w) const;
+    std::size_t clearIndex(std::size_t w, Opcode op) const;
+    std::uint64_t maskBit(std::size_t w) const;
+    /** The warp of the lowest set bit of @p bits, word @p index of a
+     *  [slot][word] mask. */
+    std::size_t warpAt(std::size_t index, std::uint64_t bits) const;
+    /** The kernel's counters, or null if it never launched here. */
+    const KernelTrack* findKernel(int kernel_id) const;
+    /** Refresh warpWake_/warpOp_ of live warp @p w from its record. */
+    void noteCurrentInstr(std::size_t w);
     void issueFrom(int warp_id, Cycle now);
     void finishWarp(int warp_id, Cycle now);
     void completeCta(int hw_cta, Cycle now);
@@ -210,23 +225,44 @@ class SimtCore
     CoreResources resources_;
     LdstUnit ldst_;
     std::vector<std::unique_ptr<WarpScheduler>> schedulers_;
-    std::map<int, KernelTrack> kernels_;
+    /** Per-kernel counters indexed by kernel id; grows to the largest
+     *  id launched on this core. */
+    std::vector<KernelTrack> kernels_;
     std::vector<CtaDoneEvent> completed_;
 
     /**
-     * SoA-packed hot state for the issue loop: a per-warp-slot cycle
-     * before which the occupying warp's scoreboard cannot clear.
-     * Strictly a lower bound — set when a warp's operands are found
-     * pending, reset to 0 on launch, issue and load release — so
-     * skipping a slot with warpWake_ > now never changes behaviour; it
-     * only avoids touching the cold Warp record and its scoreboard.
+     * SoA-packed hot state for the issue scan, per live warp: the cycle
+     * its current instruction's scoreboard clears (kCycleNever while an
+     * outstanding load holds one of its registers) and that
+     * instruction's opcode. Both are refreshed by noteCurrentInstr()
+     * wherever they can change — warp launch, issue and load release —
+     * while the Warp record is being touched anyway, so the scan itself
+     * never reads a cold Warp record.
      */
     std::vector<Cycle> warpWake_;
+    std::vector<Opcode> warpOp_;
     /** SoA mirror of Warp::kernelId (set at warp launch) so the fused
-     *  stall classification can attribute a wake-cached slot without
-     *  touching the cold Warp record. Only read while warpWake_ > now,
-     *  which implies the slot's warp is live. */
+     *  stall classification can attribute a warp without touching the
+     *  cold Warp record. Only read for live warps. */
     std::vector<int> warpKernel_;
+    /**
+     * Per-scheduler-slot readiness bitmasks: slot s owns warps s, s+S,
+     * s+2S, ... and bit i of its mask (word i / 64) is its i-th warp;
+     * each slot mask spans maskWords_ words.
+     *  - liveMask_: warps that can still issue (Warp::live()).
+     *  - barrierMask_: live warps waiting at a CTA barrier.
+     *  - clearMask_: per opcode, live warps off the barrier whose
+     *    current instruction, of that opcode, is scoreboard-clear.
+     * A warp stays scoreboard-clear until it issues, finishes or its
+     * slot is recycled (a load release only readies registers sooner),
+     * so its clear bit is set when the issue scan first finds its wake
+     * time passed and reset on issue and launch, where warpWake_ is
+     * refreshed too.
+     */
+    std::size_t maskWords_ = 1;
+    std::vector<std::uint64_t> liveMask_;    ///< [slot][word]
+    std::vector<std::uint64_t> barrierMask_; ///< [slot][word]
+    std::vector<std::uint64_t> clearMask_;   ///< [slot][opcode][word]
     /** Free warp contexts (kept in sync with Warp::valid): canAccept
      *  in O(1) instead of scanning 48 slots per scheduler tick. */
     std::uint32_t freeWarpSlots_ = 0;

@@ -13,7 +13,7 @@ BlockCtaScheduler::residencyCap(std::uint32_t core_id,
                                 const KernelInstance& kernel) const
 {
     (void)core_id;
-    return staticCap(*kernel.info);
+    return staticCap(kernel);
 }
 
 void

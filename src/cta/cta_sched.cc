@@ -130,12 +130,23 @@ CtaScheduler::coreFitsN(const SimtCore& core, const KernelInfo& kernel,
 }
 
 std::uint32_t
-CtaScheduler::staticCap(const KernelInfo& kernel) const
+CtaScheduler::staticCap(const KernelInstance& kernel) const
 {
-    const std::uint32_t occ = maxCtasPerCore(config_, kernel);
+    // Gpu::launchKernel caches the cap; an instance built elsewhere
+    // without it would never dispatch and stall until maxCycles.
+    BSCHED_CHECK(kernel.maxCtas > 0, "cta scheduler: kernel ", kernel.id,
+                 " has no cached occupancy cap");
+    if (kernel.maxCtas == 0)
+        panic("cta scheduler: kernel without a cached occupancy cap");
+    return staticCap(kernel.maxCtas);
+}
+
+std::uint32_t
+CtaScheduler::staticCap(std::uint32_t occupancy) const
+{
     if (config_.staticCtaLimit == 0)
-        return occ;
-    return std::min(occ, config_.staticCtaLimit);
+        return occupancy;
+    return std::min(occupancy, config_.staticCtaLimit);
 }
 
 void
@@ -189,7 +200,7 @@ RoundRobinCtaScheduler::tick(Cycle now,
     const std::uint32_t start = static_cast<std::uint32_t>(now % n);
 
     for (KernelInstance* kernel : order) {
-        const std::uint32_t cap = staticCap(*kernel->info);
+        const std::uint32_t cap = staticCap(*kernel);
         for (std::uint32_t i = 0; i < n && !kernel->dispatchDone(); ++i) {
             const std::uint32_t c = (start + i) % n;
             SimtCore& core = *cores[c];

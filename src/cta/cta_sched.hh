@@ -39,6 +39,10 @@ struct KernelInstance
     int coreEnd = -1;
     /** Dispatch priority: lower values are offered CTAs first. */
     int priority = 0;
+    /** Occupancy cap, maxCtasPerCore(config, *info): CTAs of this
+     *  kernel one core can hold. Cached at launch so the per-cycle CTA
+     *  policies and the serving engine never re-derive it. */
+    std::uint32_t maxCtas = 0;
 
     bool dispatchDone() const { return nextCta >= info->gridCtas(); }
     bool finished() const { return ctasDone >= info->gridCtas(); }
@@ -125,9 +129,12 @@ class CtaScheduler
 
     /**
      * Per-core CTA cap for @p kernel from the static limit sweep knob
-     * (oracle experiments): min(occupancy max, staticCtaLimit if set).
+     * (oracle experiments): min(occupancy cap, staticCtaLimit if set).
      */
-    std::uint32_t staticCap(const KernelInfo& kernel) const;
+    std::uint32_t staticCap(const KernelInstance& kernel) const;
+
+    /** The static limit sweep knob applied to an occupancy cap. */
+    std::uint32_t staticCap(std::uint32_t occupancy) const;
 
     /** Dispatch one CTA of @p kernel to @p core. */
     void dispatch(Cycle now, KernelInstance& kernel, SimtCore& core,

@@ -93,7 +93,7 @@ DynctaScheduler::tick(Cycle now, std::vector<KernelInstance>& kernels,
             if (usedScratch_[c] != 0 || !coreAllowed(*kernel, c))
                 continue;
             const std::uint32_t cap =
-                std::min(state_[c].target, staticCap(*kernel->info));
+                std::min(state_[c].target, staticCap(*kernel));
             if (core.residentCtas(kernel->id) >= cap)
                 continue;
             if (!core.canAccept(*kernel->info))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernel/occupancy.hh"
 #include "obs/trace.hh"
 #include "sim/check.hh"
 #include "sim/log.hh"
@@ -12,7 +13,17 @@ void
 LazyCtaScheduler::decide(Cycle now, std::uint32_t core_id, int kernel_id,
                          std::uint32_t n_max, const SimtCore& core)
 {
-    Monitor& mon = monitors_[{core_id, kernel_id}];
+    BSCHED_CHECK(kernel_id >= 0 && core_id < config_.numCores,
+                 "lcs: monitor for kernel ", kernel_id, " on core ",
+                 core_id, " of ", config_.numCores);
+    if (kernel_id < 0 || core_id >= config_.numCores)
+        panic("lcs: monitor outside the kernel x core table");
+    const std::size_t idx =
+        static_cast<std::size_t>(kernel_id) * config_.numCores + core_id;
+    if (idx >= monitors_.size())
+        monitors_.resize(
+            (static_cast<std::size_t>(kernel_id) + 1) * config_.numCores);
+    Monitor& mon = monitors_[idx];
     if (mon.decided)
         return;
     const std::vector<std::uint64_t> counts =
@@ -67,13 +78,21 @@ LazyCtaScheduler::decide(Cycle now, std::uint32_t core_id, int kernel_id,
     }
 }
 
+const LazyCtaScheduler::Monitor*
+LazyCtaScheduler::findMonitor(std::uint32_t core_id, int kernel_id) const
+{
+    if (kernel_id < 0 || core_id >= config_.numCores)
+        return nullptr;
+    const std::size_t idx =
+        static_cast<std::size_t>(kernel_id) * config_.numCores + core_id;
+    return idx < monitors_.size() ? &monitors_[idx] : nullptr;
+}
+
 std::uint32_t
 LazyCtaScheduler::decidedLimit(std::uint32_t core, int kernel_id) const
 {
-    auto it = monitors_.find({core, kernel_id});
-    if (it == monitors_.end() || !it->second.decided)
-        return 0;
-    return it->second.nOpt;
+    const Monitor* mon = findMonitor(core, kernel_id);
+    return mon == nullptr || !mon->decided ? 0 : mon->nOpt;
 }
 
 std::uint32_t
@@ -81,7 +100,7 @@ LazyCtaScheduler::capFor(std::uint32_t core_id,
                          const KernelInstance& kernel) const
 {
     const std::uint32_t limit = decidedLimit(core_id, kernel.id);
-    const std::uint32_t occ = staticCap(*kernel.info);
+    const std::uint32_t occ = staticCap(kernel);
     return limit == 0 ? occ : std::min(limit, occ);
 }
 
@@ -96,13 +115,18 @@ LazyCtaScheduler::notifyCtaDone(Cycle now, const CtaDoneEvent& event,
     if (event.info == nullptr)
         panic("lcs: CtaDoneEvent carries no kernel info");
     // The first completed CTA of a kernel on a core closes that core's
-    // monitoring window; decide() is idempotent per (core, kernel).
+    // monitoring window; later completions only find it decided.
+    if (decidedLimit(event.coreId, event.kernelId) != 0)
+        return;
     // n_max must be the kernel's occupancy cap, not the raw hardware CTA
     // slot count: a register/smem-limited kernel can never reach
     // config_.maxCtasPerCore, and clamping against the larger bound would
     // let estimate+slack settle above what the core can actually hold
-    // (matching closeExpiredWindows in FixedCycles mode).
-    decide(now, event.coreId, event.kernelId, staticCap(*event.info),
+    // (matching closeExpiredWindows in FixedCycles mode). The event
+    // carries no KernelInstance, so the cap is derived here, once per
+    // window close.
+    decide(now, event.coreId, event.kernelId,
+           staticCap(maxCtasPerCore(config_, *event.info)),
            *cores.at(event.coreId));
 }
 
@@ -119,8 +143,7 @@ LazyCtaScheduler::closeExpiredWindows(
             if (start == kCycleNever)
                 continue;
             if (now >= start + config_.lcs.fixedWindowCycles)
-                decide(now, c, kernel.id, staticCap(*kernel.info),
-                       *cores[c]);
+                decide(now, c, kernel.id, staticCap(kernel), *cores[c]);
         }
     }
 }
@@ -138,8 +161,7 @@ LazyCtaScheduler::nextEventCycle(Cycle now,
             const Cycle start = cores[c]->kernelFirstLaunch(kernel.id);
             if (start == kCycleNever)
                 continue;
-            const auto it = monitors_.find({c, kernel.id});
-            if (it != monitors_.end() && it->second.decided)
+            if (decidedLimit(c, kernel.id) != 0)
                 continue;
             next = std::min(
                 next,
@@ -180,11 +202,12 @@ void
 LazyCtaScheduler::addStats(StatSet& stats) const
 {
     CtaScheduler::addStats(stats);
-    for (const auto& [key, mon] : monitors_) {
-        if (mon.decided) {
-            stats.set("lcs.core" + std::to_string(key.first) + ".k" +
-                          std::to_string(key.second) + ".n_opt",
-                      static_cast<double>(mon.nOpt));
+    for (std::size_t i = 0; i < monitors_.size(); ++i) {
+        if (monitors_[i].decided) {
+            stats.set("lcs.core" + std::to_string(i % config_.numCores) +
+                          ".k" + std::to_string(i / config_.numCores) +
+                          ".n_opt",
+                      static_cast<double>(monitors_[i].nOpt));
         }
     }
 }

@@ -26,8 +26,6 @@
 #define BSCHED_CTA_LAZY_CTA_SCHED_HH
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "cta/cta_sched.hh"
@@ -85,13 +83,16 @@ class LazyCtaScheduler : public CtaScheduler
         std::uint32_t nOpt = 0;
     };
 
-    using Key = std::pair<std::uint32_t, int>; ///< (core, kernelId)
+    /** The (core, kernel) monitor, or null if never touched. */
+    const Monitor* findMonitor(std::uint32_t core_id, int kernel_id) const;
 
     /** Close the window and compute N_opt from the core's counters. */
     void decide(Cycle now, std::uint32_t core_id, int kernel_id,
                 std::uint32_t n_max, const SimtCore& core);
 
-    std::map<Key, Monitor> monitors_;
+    /** Monitors indexed kernel id x core (kernel-major); grows to the
+     *  largest kernel id that closed a window. */
+    std::vector<Monitor> monitors_;
 };
 
 } // namespace bsched

@@ -63,11 +63,10 @@ Gpu::launchKernel(const KernelInfo& kernel, int core_begin, int core_end,
     if (core_end >= 0 && core_end <= core_begin)
         fatal("launchKernel: empty core range [", core_begin, ", ",
               core_end, ")");
-    // Ensure at least one CTA can ever be placed.
-    maxCtasPerCore(config_, kernel);
-
     KernelInstance inst;
     inst.info = &kernel;
+    // Ensure at least one CTA can ever be placed (fatal otherwise).
+    inst.maxCtas = maxCtasPerCore(config_, kernel);
     inst.id = static_cast<int>(kernels_.size());
     inst.launchCycle = cycle_;
     inst.coreBegin = core_begin;

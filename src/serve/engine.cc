@@ -5,7 +5,6 @@
 #include "cta/block_cta_sched.hh"
 #include "cta/lazy_cta_sched.hh"
 #include "gpu/gpu.hh"
-#include "kernel/occupancy.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
 #include "serve/serve_trace.hh"
@@ -297,8 +296,7 @@ ServingEngine::headroomSlots(const Gpu& gpu) const
                 // CTA: exactly its current residency.
                 cap = gpu.cores()[c]->residentCtas(active.kernelId);
             } else {
-                const std::uint32_t occ =
-                    maxCtasPerCore(gpuConfig_, *kernel.info);
+                const std::uint32_t occ = kernel.maxCtas;
                 std::uint32_t limit = occ;
                 if (lazy != nullptr) {
                     const std::uint32_t decided =

@@ -117,6 +117,44 @@ class DeterminismPass(AnalyzeCase):
         code, out = repo.run()
         self.assertEqual(code, 0, out)
 
+    def test_std_qualified_clock_fires(self) -> None:
+        repo = self.repo()
+        repo.write("src/core/bad.cc",
+                   "long t() { return std::clock(); }\n")
+        code, out = repo.run()
+        self.assertEqual(code, 1)
+        self.assertRule(out, "determinism.wall-clock")
+
+    def test_std_qualified_time_fires(self) -> None:
+        repo = self.repo()
+        repo.write("src/core/bad.cc",
+                   "long t() { return std::time(nullptr); }\n")
+        code, out = repo.run()
+        self.assertEqual(code, 1)
+        self.assertRule(out, "determinism.wall-clock")
+
+    def test_std_qualified_rand_fires(self) -> None:
+        repo = self.repo()
+        repo.write("src/core/bad.cc", "int f() { return std::rand(); }\n")
+        code, out = repo.run()
+        self.assertEqual(code, 1)
+        self.assertRule(out, "determinism.rand")
+
+    def test_same_named_declarations_are_clean(self) -> None:
+        repo = self.repo()
+        repo.write("src/obs/clocked.hh", "\n".join([
+            "class Clocked",
+            "{",
+            "  public:",
+            "    const ObservationClock& clock() const;",
+            "    Cycle time() const;",
+            "    int rand();",
+            "};",
+            "",
+        ]))
+        code, out = repo.run()
+        self.assertEqual(code, 0, out)
+
 
 class FfSoundnessPass(AnalyzeCase):
     def test_tick_without_next_event_fires(self) -> None:

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "cta/block_cta_sched.hh"
+#include "kernel/occupancy.hh"
 #include "kernel/program_builder.hh"
 
 namespace bsched {
@@ -47,11 +48,12 @@ makeCores(const GpuConfig& config)
 }
 
 std::vector<KernelInstance>
-instances(const KernelInfo& k)
+instances(const GpuConfig& config, const KernelInfo& k)
 {
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     return {inst};
 }
 
@@ -74,7 +76,7 @@ TEST(Bcs, ConsecutiveCtasLandOnTheSameCore)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     BlockCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);
@@ -95,7 +97,7 @@ TEST(Bcs, DistinctBlocksGetDistinctSeqs)
     const GpuConfig config = cfg(1);
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     BlockCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);
@@ -112,7 +114,7 @@ TEST(Bcs, WaitsForFullBlockWorthOfSpace)
     // CTA 0 finishes earlier than the rest (trip jitter not used;
     // instead use a tiny grid so we can control completions).
     const KernelInfo k = kernel(100);
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     BlockCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);
@@ -129,7 +131,7 @@ TEST(Bcs, TailSmallerThanBlockStillDispatches)
     const GpuConfig config = cfg(1);
     auto cores = makeCores(config);
     const KernelInfo k = kernel(3); // one pair + one tail CTA
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     BlockCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);
@@ -142,7 +144,7 @@ TEST(Bcs, BlockSize4GroupsFourCtas)
     const GpuConfig config = cfg(1, 4);
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     BlockCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);
@@ -160,7 +162,7 @@ TEST(LazyBlock, CombinesPairingWithLcsLimit)
     config.ctaSched = CtaSchedKind::LazyBlock;
     auto cores = makeCores(config);
     const KernelInfo k = kernel(200, 400);
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     LazyBlockCtaScheduler sched(config);
     Cycle t = 0;
     // Drive cores + scheduler until the first CTA completes.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cta/cta_sched.hh"
+#include "kernel/occupancy.hh"
 #include "kernel/program_builder.hh"
 
 namespace bsched {
@@ -44,11 +45,12 @@ makeCores(const GpuConfig& config)
 }
 
 KernelInstance
-instance(const KernelInfo& info, int id = 0)
+instance(const GpuConfig& config, const KernelInfo& info, int id = 0)
 {
     KernelInstance inst;
     inst.info = &info;
     inst.id = id;
+    inst.maxCtas = maxCtasPerCore(config, info);
     return inst;
 }
 
@@ -57,7 +59,7 @@ TEST(RrCtaScheduler, FillsCoresEvenlyToOccupancy)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    std::vector<KernelInstance> kernels = {instance(k)};
+    std::vector<KernelInstance> kernels = {instance(config, k)};
     RoundRobinCtaScheduler sched(config);
 
     // 6 CTAs fit per core (thread-limited); 4 cores.
@@ -73,7 +75,7 @@ TEST(RrCtaScheduler, AtMostOneCtaPerCorePerCycle)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    std::vector<KernelInstance> kernels = {instance(k)};
+    std::vector<KernelInstance> kernels = {instance(config, k)};
     RoundRobinCtaScheduler sched(config);
     sched.tick(0, kernels, cores);
     EXPECT_EQ(kernels[0].nextCta, 4u); // one per core
@@ -84,7 +86,7 @@ TEST(RrCtaScheduler, SpraysConsecutiveCtasAcrossCores)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    std::vector<KernelInstance> kernels = {instance(k)};
+    std::vector<KernelInstance> kernels = {instance(config, k)};
     RoundRobinCtaScheduler sched(config);
     sched.tick(0, kernels, cores);
     // CTA 0 and CTA 1 landed on different cores.
@@ -107,7 +109,7 @@ TEST(RrCtaScheduler, RespectsStaticCtaLimit)
     config.staticCtaLimit = 2;
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    std::vector<KernelInstance> kernels = {instance(k)};
+    std::vector<KernelInstance> kernels = {instance(config, k)};
     RoundRobinCtaScheduler sched(config);
     for (Cycle t = 0; t < 20; ++t)
         sched.tick(t, kernels, cores);
@@ -120,7 +122,7 @@ TEST(RrCtaScheduler, RespectsCoreRange)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(100);
-    KernelInstance inst = instance(k);
+    KernelInstance inst = instance(config, k);
     inst.coreBegin = 1;
     inst.coreEnd = 3;
     std::vector<KernelInstance> kernels = {inst};
@@ -139,9 +141,9 @@ TEST(RrCtaScheduler, PriorityOrdersKernels)
     auto cores = makeCores(config);
     const KernelInfo a = kernel(100);
     const KernelInfo b = kernel(100);
-    KernelInstance ia = instance(a, 0);
+    KernelInstance ia = instance(config, a, 0);
     ia.priority = 1;
-    KernelInstance ib = instance(b, 1);
+    KernelInstance ib = instance(config, b, 1);
     ib.priority = 0;
     std::vector<KernelInstance> kernels = {ia, ib};
     RoundRobinCtaScheduler sched(config);
@@ -157,7 +159,7 @@ TEST(RrCtaScheduler, StopsWhenGridExhausted)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(3);
-    std::vector<KernelInstance> kernels = {instance(k)};
+    std::vector<KernelInstance> kernels = {instance(config, k)};
     RoundRobinCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);
@@ -186,7 +188,7 @@ TEST(CtaScheduler, DispatchStatExported)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = kernel(5);
-    std::vector<KernelInstance> kernels = {instance(k)};
+    std::vector<KernelInstance> kernels = {instance(config, k)};
     RoundRobinCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
         sched.tick(t, kernels, cores);

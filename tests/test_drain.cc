@@ -15,6 +15,7 @@
 
 #include "cta/cta_sched.hh"
 #include "gpu/gpu.hh"
+#include "kernel/occupancy.hh"
 #include "kernel/program_builder.hh"
 #include "obs/trace.hh"
 
@@ -268,6 +269,7 @@ TEST(Drain, SchedulerLevelFilterAcrossPolicies)
         KernelInstance inst;
         inst.info = &k;
         inst.id = 0;
+        inst.maxCtas = maxCtasPerCore(config, k);
         std::vector<KernelInstance> kernels = {inst};
 
         sched->setDraining(0, true);

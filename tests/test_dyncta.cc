@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cta/dyncta_sched.hh"
+#include "kernel/occupancy.hh"
 #include "kernel/program_builder.hh"
 
 namespace bsched {
@@ -82,11 +83,12 @@ run(Cycle cycles, DynctaScheduler& sched,
 }
 
 std::vector<KernelInstance>
-instances(const KernelInfo& k)
+instances(const GpuConfig& config, const KernelInfo& k)
 {
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     return {inst};
 }
 
@@ -102,7 +104,7 @@ TEST(Dyncta, RaisesTargetOnStarvedComputeKernel)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = computeKernel();
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     DynctaScheduler sched(config);
     run(20000, sched, kernels, cores);
     // Dependent ALU chains leave issue slots idle: controller should
@@ -115,7 +117,7 @@ TEST(Dyncta, LowersTargetOnMemoryBoundKernel)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = memoryKernel();
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     DynctaScheduler sched(config);
     run(30000, sched, kernels, cores);
     EXPECT_LT(sched.target(0), config.maxCtasPerCore / 2);
@@ -126,7 +128,7 @@ TEST(Dyncta, TargetStaysWithinBounds)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = memoryKernel();
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     DynctaScheduler sched(config);
     for (int epoch = 0; epoch < 10; ++epoch) {
         run(5000, sched, kernels, cores);
@@ -140,7 +142,7 @@ TEST(Dyncta, ResidencyDrainsTowardLoweredTarget)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = memoryKernel();
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     DynctaScheduler sched(config);
     run(40000, sched, kernels, cores);
     if (!kernels[0].dispatchDone()) {
@@ -160,7 +162,7 @@ TEST(Dyncta, ExportsControllerStats)
     const GpuConfig config = cfg();
     auto cores = makeCores(config);
     const KernelInfo k = computeKernel();
-    auto kernels = instances(k);
+    auto kernels = instances(config, k);
     DynctaScheduler sched(config);
     run(10000, sched, kernels, cores);
     StatSet stats;

@@ -69,6 +69,7 @@ TEST(Lcs, FillsToMaxDuringMonitoring)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     for (Cycle t = 0; t < 10; ++t)
@@ -87,6 +88,7 @@ TEST(Lcs, DecidesAfterFirstCtaCompletion)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     Cycle t = 0;
@@ -107,6 +109,7 @@ TEST(Lcs, ThrottlesDispatchToDecidedLimit)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     Cycle t = 0;
@@ -133,6 +136,7 @@ TEST(Lcs, EstimatorMathMatchesCounts)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     Cycle t = 0;
@@ -165,6 +169,7 @@ TEST(Lcs, SlackAddsHeadroom)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     Cycle t = 0;
@@ -185,6 +190,7 @@ TEST(Lcs, FixedWindowModeDecidesOnSchedule)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     for (Cycle t = 0; t < 150; ++t)
@@ -212,6 +218,7 @@ TEST(Lcs, DecidedLimitRespectsOccupancyCap)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     Cycle t = 0;
@@ -233,9 +240,11 @@ TEST(Lcs, PerKernelMonitorsAreIndependent)
     KernelInstance ia;
     ia.info = &a;
     ia.id = 0;
+    ia.maxCtas = maxCtasPerCore(config, a);
     KernelInstance ib;
     ib.info = &b;
     ib.id = 1;
+    ib.maxCtas = maxCtasPerCore(config, b);
     ib.priority = 1;
     kernels.push_back(ia);
     kernels.push_back(ib);
@@ -258,6 +267,7 @@ TEST(Lcs, ExportsDecisionStats)
     KernelInstance inst;
     inst.info = &k;
     inst.id = 0;
+    inst.maxCtas = maxCtasPerCore(config, k);
     kernels.push_back(inst);
     LazyCtaScheduler sched(config);
     Cycle t = 0;

@@ -19,7 +19,9 @@ schema and prints a per-metric delta table. Two schemas are understood:
     audit overhead), ``relative_rate.phase_vs_plain >= 0.9`` (phase
     telemetry overhead), ``fast_forward.idle_heavy.speedup >= 3.0`` (idle
     fast-forward must pay off) and ``fast_forward.busy.speedup >= 0.9``
-    (and must not tax busy runs). Budget violations are hard failures
+    (and must not tax busy runs), plus absolute-rate floors on
+    ``fast_forward.idle_heavy.ff_on``, ``modes.plain`` and
+    ``modes.serve_plain``. Budget violations are hard failures
     regardless of ``--tolerance``.
 
 ``bsched-bench-v1``
@@ -238,6 +240,12 @@ def compare_simspeed(base: dict, cur: dict, cmp: Comparison) -> None:
                .get("sim_cycles_per_s"))
     cmp.budget("modes.plain.sim_cycles_per_s", 195_000,
                cur.get("modes", {}).get("plain", {})
+               .get("sim_cycles_per_s"))
+    # Serving busy path (issue-scan readiness masks, per-kernel tables):
+    # above the 86k of the baseline before them and 1.3x under the 128k
+    # measured with them, so host-speed spread cannot trip it.
+    cmp.budget("modes.serve_plain.sim_cycles_per_s", 95_000,
+               cur.get("modes", {}).get("serve_plain", {})
                .get("sim_cycles_per_s"))
 
 
